@@ -572,8 +572,7 @@ def cmd_serve(args) -> int:
                             enable_cost_cache=not args.no_cost_cache,
                             admission=admission,
                             brownout=brownout,
-                            breaker=breaker,
-                            timeout_policy=timeout_policy)
+                            breaker=breaker)
     if args.dispatch == "locality" and args.num_gpus < 2 \
             and not args.autoscale:
         print("--dispatch locality needs a fleet to place over "
@@ -675,6 +674,10 @@ def cmd_serve(args) -> int:
             disagg=disagg,
         )
     else:
+        if args.core != "object" and timeout_policy is not None:
+            print("--core soa does not support --give-up-after; use "
+                  "--core object", file=sys.stderr)
+            return 2
         try:
             engine = builder.build(args.system, core=args.core)
         except ValueError as exc:
@@ -700,6 +703,9 @@ def cmd_serve(args) -> int:
     if args.trace_out:
         save_trace(args.trace_out, requests)
         print(f"trace saved to {args.trace_out} ({len(requests)} requests)")
+    if timeout_policy is not None:
+        # Clusters stamp on submit too; this covers the single engine.
+        timeout_policy.stamp_deadlines(requests)
     engine.submit(requests)
     if args.profile is not None:
         import cProfile

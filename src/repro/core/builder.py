@@ -35,7 +35,6 @@ from repro.models.lora import LoRAAdapterSpec
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.engine import EngineConfig, ServingEngine
 from repro.runtime.faults import FaultInjector
-from repro.runtime.hedging import TimeoutPolicy
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.overload import (
     AdmissionConfig,
@@ -86,11 +85,6 @@ class SystemBuilder:
     admission: Optional[AdmissionConfig] = None
     brownout: Optional[BrownoutConfig] = None
     breaker: Optional[BreakerConfig] = None
-    #: Unified deadline/timeout policy (default-off; overrides the
-    #: engine's swap-retry backoff and breaker cooldown, and stamps
-    #: ``give_up_after_s`` deadlines at cluster submit — see
-    #: :mod:`repro.runtime.hedging`).
-    timeout_policy: Optional[TimeoutPolicy] = None
     #: Fleet adapter-placement knobs (default-off; consumed by the
     #: cluster layer, not by single engines — carried here so callers
     #: configure one builder end to end.  See
@@ -228,7 +222,6 @@ class SystemBuilder:
             admission=self.admission,
             brownout=self.brownout,
             breaker=self.breaker,
-            timeout_policy=self.timeout_policy,
         )
         cls = engine_cls if engine_cls is not None else ServingEngine
         return cls(

@@ -23,8 +23,7 @@ vLLM/LightLLM, driven by the analytical cost models:
 * :mod:`repro.runtime.failure_detection` — φ-accrual heartbeat
   suspicion and lease-fenced exactly-once completion delivery;
 * :mod:`repro.runtime.hedging` — tail-tolerant dispatch: hedged
-  requests, per-class retry budgets, and the unified deadline/timeout
-  policy;
+  requests, per-class retry budgets, and the hedge/give-up deadlines;
 * :mod:`repro.runtime.placement` — fleet-level adapter registry and
   cache-state-aware ``locality`` dispatch (consistent-hash homes,
   load-aware spill, hot-adapter replication, cold demotion);

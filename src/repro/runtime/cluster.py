@@ -90,6 +90,10 @@ from repro.runtime.request import AbortReason, Request, RequestStatus
 DISPATCH_POLICIES = ("least-loaded", "round-robin", "adapter-affinity",
                      "locality")
 
+#: Ceiling of the failover-requeue backoff (``requeue_backoff_s``
+#: doubles per requeue of the same request up to this).
+REQUEUE_BACKOFF_CAP_S = 5.0
+
 
 class MultiGPUServer:
     """Dispatches requests over independent per-GPU engines.
@@ -103,8 +107,9 @@ class MultiGPUServer:
     one request may lose before the cluster gives up on it
     (``None`` = only bounded by the engine count, the legacy behavior),
     and ``requeue_backoff_s`` spaces repeated requeues of the same
-    request out with capped exponential backoff so a cascading failure
-    does not instantly pile every orphan onto the next victim.  Only
+    request out with capped exponential backoff (never longer than the
+    request's own ``deadline_s``) so a cascading failure does not
+    instantly pile every orphan onto the next victim.  Only
     *failover* hops burn that budget — voluntary drain re-homing during
     scale-down charges the request's ``drain_hops`` instead.
 
@@ -123,7 +128,6 @@ class MultiGPUServer:
                  health_floor: float = 0.25,
                  max_requeues: Optional[int] = None,
                  requeue_backoff_s: float = 0.0,
-                 requeue_backoff_cap_s: float = 5.0,
                  autoscaler: Optional[Autoscaler] = None,
                  engine_factory: Optional[
                      Callable[[], ServingEngine]] = None,
@@ -169,8 +173,9 @@ class MultiGPUServer:
             raise ValueError(f"health_floor must be in [0, 1), got {health_floor}")
         if max_requeues is not None and max_requeues < 1:
             raise ValueError(f"max_requeues must be >= 1, got {max_requeues}")
-        if requeue_backoff_s < 0 or requeue_backoff_cap_s <= 0:
-            raise ValueError("requeue backoff times must be >= 0 / positive")
+        if requeue_backoff_s < 0:
+            raise ValueError(
+                f"requeue_backoff_s must be >= 0, got {requeue_backoff_s}")
         if autoscaler is not None and engine_factory is None:
             raise ValueError(
                 "autoscaling needs an engine_factory to spawn replicas"
@@ -180,7 +185,6 @@ class MultiGPUServer:
         self.health_floor = health_floor
         self.max_requeues = max_requeues
         self.requeue_backoff_s = requeue_backoff_s
-        self.requeue_backoff_cap_s = requeue_backoff_cap_s
         self.autoscaler = autoscaler
         self.engine_factory = engine_factory
         self.detector = detector
@@ -434,25 +438,29 @@ class MultiGPUServer:
         epoched loop's per-epoch view of time in flight; all three queue
         requests cluster-side until their arrival epoch.
         """
-        policy = self.timeout_policy
-        if policy is not None and policy.give_up_after_s is not None:
-            # Thread the unified give-up deadline through the engine's
-            # existing deadline machinery: requests with no deadline of
-            # their own inherit the policy's hard bound.
-            for r in requests:
-                if r.deadline_s is None:
-                    r.deadline_s = policy.give_up_after_s
+        if self.timeout_policy is not None:
+            self.timeout_policy.stamp_deadlines(requests)
         if self.retry_budget is not None:
             # First-time dispatches fund the budget that hedges, swap
             # retries, and failover requeues later spend.
             for r in requests:
                 self.retry_budget.deposit(r.priority)
-        if (self.autoscaler is not None or self.detector is not None
-                or self.hedge is not None or self.placement is not None
-                or self.disagg is not None):
+        if self._epoched:
             self._requeue(requests)
             return
         self._dispatch(requests, self.engines)
+
+    @property
+    def _epoched(self) -> bool:
+        """Whether this cluster runs the epoched control loop.
+
+        The one decision behind both :meth:`submit` (queue requests
+        cluster-side) and :meth:`run` (which loop drains them): every
+        feature that needs a per-epoch view of the fleet lands here.
+        """
+        return (self.autoscaler is not None or self.detector is not None
+                or self.hedge is not None or self.placement is not None
+                or self.disagg is not None)
 
     def _dispatch(self, requests: Sequence[Request],
                   engines: Sequence[ServingEngine]) -> None:
@@ -586,9 +594,7 @@ class MultiGPUServer:
         events, fenced completions) in with every replica's metrics, so
         ``summary()`` accounts for every submitted request.
         """
-        if (self.autoscaler is not None or self.detector is not None
-                or self.hedge is not None or self.placement is not None
-                or self.disagg is not None):
+        if self._epoched:
             return self._run_epoched(until)
         return self._run_static(until)
 
@@ -1278,15 +1284,12 @@ class MultiGPUServer:
             scaler = self._scaler_of(rep)
             if scaler is None:
                 continue  # only scalers start drains, so this is dead code
-            drain_timeout = scaler.config.drain_timeout_s
-            if (self.timeout_policy is not None
-                    and self.timeout_policy.drain_timeout_s is not None):
-                drain_timeout = self.timeout_policy.drain_timeout_s
             e = rep.engine
             if e.num_live == 0:
                 self._retire(rep, max(t_next, e.clock.now), "retire",
                              "drained empty")
-            elif t_next - rep.drain_started_at >= drain_timeout:
+            elif (t_next - rep.drain_started_at
+                    >= scaler.config.drain_timeout_s):
                 orphans = e.drain_orphans(count_hop=False)
                 self.cluster_metrics.drain_requeues += len(orphans)
                 self._requeue(orphans)
@@ -1611,27 +1614,18 @@ class MultiGPUServer:
     def _apply_requeue_backoff(self, orphans: Sequence[Request]) -> None:
         """Space repeated requeues out with capped exponential backoff.
 
-        With a :class:`TimeoutPolicy` attached, the policy's base/cap
-        override the legacy knobs and the cap is additionally clamped
-        to the request's remaining deadline — backing off past a
-        deadline only converts a retry into a guaranteed deadline
-        abort.
+        A request carrying a deadline never backs off longer than the
+        deadline itself — backing off past it only converts a retry
+        into a guaranteed deadline abort.
         """
-        policy = self.timeout_policy
-        if policy is None and self.requeue_backoff_s <= 0:
+        if self.requeue_backoff_s <= 0:
             return
         for r in orphans:
-            if policy is not None:
-                delay = policy.requeue_backoff(
-                    r.requeues, self.requeue_backoff_s,
-                    self.requeue_backoff_cap_s, deadline_s=r.deadline_s,
-                )
-            else:
-                delay = capped_exponential_backoff(
-                    self.requeue_backoff_s, r.requeues,
-                    self.requeue_backoff_cap_s,
-                )
-            r.arrival_time += delay
+            cap = REQUEUE_BACKOFF_CAP_S
+            if r.deadline_s is not None:
+                cap = min(cap, r.deadline_s)
+            r.arrival_time += capped_exponential_backoff(
+                self.requeue_backoff_s, r.requeues, cap)
 
     def _failover_dispatch(self, orphans: Sequence[Request],
                            survivors: Sequence[ServingEngine]) -> None:

@@ -32,11 +32,7 @@ from repro.runtime.clock import SimClock
 from repro.runtime.costcache import BatchSignature, IterationCostCache
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
-from repro.runtime.hedging import (
-    RetryBudget,
-    TimeoutPolicy,
-    capped_exponential_backoff,
-)
+from repro.runtime.hedging import RetryBudget, capped_exponential_backoff
 from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.metrics import AbortRecord, MetricsCollector, RequestRecord
@@ -59,6 +55,12 @@ from repro.runtime.scheduler import (
     pick_shed_victim,
 )
 from repro.runtime.switcher import ModeSwitcher
+
+
+#: Capped exponential backoff for failed adapter swap-ins: the first
+#: retry waits the base, each further consecutive failure doubles it.
+SWAP_RETRY_BASE_S = 0.02
+SWAP_RETRY_CAP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,6 @@ class EngineConfig:
     #: lowest-credit waiting request (graceful degradation instead of
     #: the former hard ``RuntimeError``).
     kv_stall_limit: int = 8
-    #: Capped exponential backoff for failed adapter swap-ins.
-    swap_retry_base_s: float = 0.02
-    swap_retry_cap_s: float = 1.0
-    #: Swap failures tolerated per adapter before it is quarantined and
-    #: its requests aborted (``AbortReason.ADAPTER_UNAVAILABLE``).
-    max_swap_retries: int = 5
     #: Memoize iteration costs per :class:`BatchSignature` (bit-identical
     #: results, large speedup).  ``False`` re-derives every iteration
     #: through the full cost-model tower (the reference path).
@@ -102,16 +98,11 @@ class EngineConfig:
     #: Brownout degraded-service tiers under sustained pressure.
     #: ``None`` never degrades (legacy behavior).
     brownout: Optional[BrownoutConfig] = None
-    #: Circuit-breaker recovery for failing adapters.  ``None`` keeps
-    #: the legacy permanent quarantine (a breaker that opens after
-    #: ``max_swap_retries`` failures and never half-opens).
+    #: Circuit breakers for failing adapters.  ``None`` uses the
+    #: default :class:`BreakerConfig`: a permanent quarantine after
+    #: ``failure_threshold`` consecutive swap failures (requests then
+    #: abort as ``AbortReason.ADAPTER_UNAVAILABLE``).
     breaker: Optional[BreakerConfig] = None
-    #: Unified deadline/timeout policy (see :mod:`repro.runtime.hedging`).
-    #: When set, its non-``None`` fields override the ad-hoc timing
-    #: constants above (swap retry backoff; breaker cooldown when no
-    #: explicit ``breaker`` config is given).  ``None`` keeps every
-    #: legacy knob authoritative (bit-identical).
-    timeout_policy: Optional[TimeoutPolicy] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
@@ -122,10 +113,6 @@ class EngineConfig:
             raise ValueError("deadline_slo_factor must be positive")
         if self.kv_stall_limit < 1:
             raise ValueError("kv_stall_limit must be >= 1")
-        if self.swap_retry_base_s <= 0 or self.swap_retry_cap_s <= 0:
-            raise ValueError("swap retry backoff times must be positive")
-        if self.max_swap_retries < 1:
-            raise ValueError("max_swap_retries must be >= 1")
 
 
 class PhaseExecutor:
@@ -387,18 +374,9 @@ class ServingEngine:
         self._backoff_horizon = float("-inf")
         # -- overload protection (runtime/overload.py) ---------------------
         # Per-adapter circuit breakers, created lazily on first swap
-        # failure.  Without an explicit BreakerConfig an opened breaker
-        # never half-opens: exactly the legacy permanent quarantine
-        # after max_swap_retries consecutive failures — unless a
-        # TimeoutPolicy consolidates a breaker cooldown in.
-        policy_cooldown = (
-            config.timeout_policy.breaker_cooldown_s
-            if config.timeout_policy is not None else None
-        )
-        self._breaker_config = config.breaker or BreakerConfig(
-            failure_threshold=config.max_swap_retries,
-            cooldown_s=policy_cooldown,
-        )
+        # failure.  The default BreakerConfig never half-opens: a
+        # permanent quarantine after its failure_threshold.
+        self._breaker_config = config.breaker or BreakerConfig()
         #: Shared retry budget (attached by the cluster; None = ungated).
         #: Swap retries draw from the same bucket as hedges and failover
         #: requeues, so a fleet-wide swap outage cannot retry-storm.
@@ -937,23 +915,15 @@ class ServingEngine:
                             batch: Sequence[Request]) -> float:
         """Backoff before swap retry ``attempt`` for one failed adapter.
 
-        The shared capped-exponential curve (byte-identical to the
-        legacy inline math at default config), with two optional layers
-        on top: a :class:`TimeoutPolicy` overrides the base/cap
-        constants, and a cluster-attached :class:`RetryBudget` gates the
-        retry — when the budget is dry the retry is not forbidden (the
-        adapter's requests would strand) but degrades to maximum
-        spacing, the slowest the schedule allows.
+        The shared capped-exponential curve from
+        ``SWAP_RETRY_BASE_S`` up to ``SWAP_RETRY_CAP_S``.  A
+        cluster-attached :class:`RetryBudget` gates the retry — when the
+        budget is dry the retry is not forbidden (the adapter's requests
+        would strand) but degrades to maximum spacing, the slowest the
+        schedule allows.
         """
-        policy = self.config.timeout_policy
-        base = self.config.swap_retry_base_s
-        cap = self.config.swap_retry_cap_s
-        if policy is not None:
-            backoff = policy.swap_backoff(attempt, base, cap)
-            if policy.swap_retry_cap_s is not None:
-                cap = policy.swap_retry_cap_s
-        else:
-            backoff = capped_exponential_backoff(base, attempt, cap)
+        backoff = capped_exponential_backoff(
+            SWAP_RETRY_BASE_S, attempt, SWAP_RETRY_CAP_S)
         if self.retry_budget is not None:
             priority = max(
                 (r.priority for r in batch if r.adapter_id == adapter_id),
@@ -961,7 +931,7 @@ class ServingEngine:
             )
             if not self.retry_budget.try_spend(priority):
                 self.metrics.retry_budget_exhausted += 1
-                backoff = cap
+                backoff = SWAP_RETRY_CAP_S
         return backoff
 
     def _open_breaker(self, adapter_id: str) -> None:

@@ -10,11 +10,8 @@ budgets), built on PR 6's lease-fenced exactly-once machinery:
 * :func:`capped_exponential_backoff` — the one shared backoff curve
   behind the engine's swap retries and the cluster's failover requeues
   (previously duplicated ad hoc at both call sites);
-* :class:`TimeoutPolicy` — one deadline-aware policy object
-  consolidating the runtime's formerly scattered timing constants
-  (swap retry backoff, requeue backoff, breaker cooldown, drain
-  timeout) plus the tail-tolerance deadlines (``hedge_after_s``,
-  ``give_up_after_s``);
+* :class:`TimeoutPolicy` — the tail-tolerance deadlines
+  (``hedge_after_s``, ``give_up_after_s``);
 * :class:`RetryBudget` — a per-priority-class token bucket that gates
   *every* speculative or repeated dispatch (hedges, swap retries,
   failover requeues) so correlated failures degrade to single-shot
@@ -35,9 +32,10 @@ without a :class:`HedgeConfig`, :class:`RetryBudget`, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.runtime.metrics import StreamingQuantile
+from repro.runtime.request import Request
 
 __all__ = [
     "capped_exponential_backoff",
@@ -67,78 +65,46 @@ def capped_exponential_backoff(base_s: float, attempt: int,
 
 @dataclass(frozen=True)
 class TimeoutPolicy:
-    """One deadline-aware home for the runtime's timing constants.
+    """The two tail-tolerance deadlines of a served request.
 
-    Before this policy object existed, each timeout lived in a different
-    config: swap retry backoff in :class:`~repro.runtime.engine.EngineConfig`,
-    requeue backoff in :class:`~repro.runtime.cluster.MultiGPUServer`'s
-    kwargs, breaker cooldown in
-    :class:`~repro.runtime.overload.BreakerConfig`, and the drain timeout
-    in :class:`~repro.runtime.autoscaler.AutoscaleConfig`.  Attaching a
-    ``TimeoutPolicy`` overrides them all from one place; every field
-    left ``None`` defers to the legacy knob, so a default-constructed
-    policy changes nothing.
+    ``hedge_after_s`` fixes the hedge threshold (bypassing the
+    percentile tracker), and ``give_up_after_s`` bounds any request's
+    total time in the system — threaded through the engine's existing
+    deadline machinery (``AbortReason.DEADLINE_EXCEEDED``) for requests
+    that carry no deadline of their own.
 
-    The two new deadlines are the tail-tolerance ones: ``hedge_after_s``
-    fixes the hedge threshold (bypassing the percentile tracker), and
-    ``give_up_after_s`` bounds any request's total time in the system —
-    threaded through the engine's existing deadline machinery
-    (``AbortReason.DEADLINE_EXCEEDED``) for requests that carry no
-    deadline of their own.
+    The runtime's other timing constants each live with the mechanism
+    they time: swap-retry backoff in :mod:`repro.runtime.engine`,
+    breaker cooldown in :class:`~repro.runtime.overload.BreakerConfig`,
+    requeue backoff in :class:`~repro.runtime.cluster.MultiGPUServer`
+    and the drain timeout in
+    :class:`~repro.runtime.autoscaler.AutoscaleConfig`.
     """
 
-    #: Engine adapter-swap retry backoff (overrides ``EngineConfig``).
-    swap_retry_base_s: Optional[float] = None
-    swap_retry_cap_s: Optional[float] = None
-    #: Cluster failover-requeue backoff (overrides the cluster kwargs).
-    requeue_backoff_s: Optional[float] = None
-    requeue_backoff_cap_s: Optional[float] = None
-    #: Adapter circuit-breaker cooldown (overrides the implicit
-    #: permanent quarantine when no explicit ``BreakerConfig`` is set).
-    breaker_cooldown_s: Optional[float] = None
-    #: Scale-down drain timeout (overrides ``AutoscaleConfig``).
-    drain_timeout_s: Optional[float] = None
     #: Fixed hedge threshold: hedge any request in flight longer than
     #: this.  ``None`` uses the percentile-tracked threshold instead.
     hedge_after_s: Optional[float] = None
     #: Hard bound on any request's time in system; requests without
-    #: their own ``deadline_s`` inherit it at cluster submit.
+    #: their own ``deadline_s`` inherit it at submit.
     give_up_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("swap_retry_base_s", "swap_retry_cap_s",
-                     "requeue_backoff_cap_s", "breaker_cooldown_s",
-                     "drain_timeout_s", "hedge_after_s",
-                     "give_up_after_s"):
+        for name in ("hedge_after_s", "give_up_after_s"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if (self.requeue_backoff_s is not None
-                and self.requeue_backoff_s < 0):
-            raise ValueError("requeue_backoff_s must be >= 0")
 
-    def requeue_backoff(self, attempt: int, base_s: float, cap_s: float,
-                        deadline_s: Optional[float] = None) -> float:
-        """Failover-requeue delay for retry ``attempt``, deadline-aware.
+    def stamp_deadlines(self, requests: Iterable[Request]) -> None:
+        """Give every deadline-less request the ``give_up_after_s`` bound.
 
-        Policy fields override the caller's legacy ``base_s``/``cap_s``
-        when set.  A request carrying a deadline never backs off longer
-        than the deadline itself — delaying a retry past the point where
-        the answer can no longer arrive in time only wastes the retry.
+        The one place the give-up deadline enters the runtime, shared
+        by the cluster's submit and single-engine callers.
         """
-        base = base_s if self.requeue_backoff_s is None else self.requeue_backoff_s
-        cap = (cap_s if self.requeue_backoff_cap_s is None
-               else self.requeue_backoff_cap_s)
-        if deadline_s is not None:
-            cap = min(cap, deadline_s)
-        return capped_exponential_backoff(base, attempt, cap)
-
-    def swap_backoff(self, attempt: int, base_s: float,
-                     cap_s: float) -> float:
-        """Adapter-swap retry delay for failure number ``attempt``."""
-        base = base_s if self.swap_retry_base_s is None else self.swap_retry_base_s
-        cap = cap_s if self.swap_retry_cap_s is None else self.swap_retry_cap_s
-        return capped_exponential_backoff(base, attempt, cap)
+        if self.give_up_after_s is None:
+            return
+        for r in requests:
+            if r.deadline_s is None:
+                r.deadline_s = self.give_up_after_s
 
 
 @dataclass(frozen=True)

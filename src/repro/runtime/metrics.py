@@ -10,7 +10,7 @@ Metric definitions follow §6.1:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -168,9 +168,19 @@ class RequestRecord:
         )
 
 
+def _summarized(default: float = 0):
+    """A counter :meth:`MetricsCollector.summary` reports when nonzero."""
+    return field(default=default, metadata={"summary": True})
+
+
 @dataclass
 class MetricsCollector:
-    """Accumulates completion records and derives §6.1's metrics."""
+    """Accumulates completion records and derives §6.1's metrics.
+
+    Every field is declared once: :meth:`merge_from` folds each field
+    by its type, and :meth:`summary` emits each ``_summarized`` counter
+    under its own name whenever it is nonzero, in declaration order.
+    """
 
     records: List[RequestRecord] = field(default_factory=list)
     mode_iterations: Dict[str, int] = field(default_factory=dict)
@@ -190,83 +200,83 @@ class MetricsCollector:
     adapter_cache_hits: int = 0
     #: ... and that did not (each miss pays a swap or a swap failure).
     adapter_cache_misses: int = 0
-    swap_retries: int = 0
-    adapters_quarantined: int = 0
-    mode_fallbacks: int = 0
-    shed_events: int = 0
-    kv_stall_iters: int = 0
-    failover_events: int = 0
-    engine_failures: int = 0
+    swap_retries: int = _summarized()
+    adapters_quarantined: int = _summarized()
+    mode_fallbacks: int = _summarized()
+    shed_events: int = _summarized()
+    kv_stall_iters: int = _summarized()
+    failover_events: int = _summarized()
+    engine_failures: int = _summarized()
     # -- overload protection (admission / brownout / breakers) -------------
-    admission_rejections: int = 0
-    brownout_sheds: int = 0
-    brownout_truncations: int = 0
-    brownout_forced_merges: int = 0
-    brownout_transitions: int = 0
-    brownout_time_s: float = 0.0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    requeue_limit_aborts: int = 0
+    admission_rejections: int = _summarized()
+    brownout_sheds: int = _summarized()
+    brownout_truncations: int = _summarized()
+    brownout_forced_merges: int = _summarized()
+    brownout_transitions: int = _summarized()
+    brownout_time_s: float = _summarized(0.0)
+    breaker_opens: int = _summarized()
+    breaker_half_opens: int = _summarized()
+    breaker_closes: int = _summarized()
+    requeue_limit_aborts: int = _summarized()
     # -- cost-cache accounting (memoized iteration-cost layer) -------------
-    cost_cache_hits: int = 0
-    cost_cache_misses: int = 0
+    cost_cache_hits: int = _summarized()
+    cost_cache_misses: int = _summarized()
     # -- replica lifecycle (autoscaled clusters; all zero when static) -----
     scale_events: List[ScaleEvent] = field(default_factory=list)
-    scale_up_events: int = 0
-    scale_down_events: int = 0
-    replicas_spawned: int = 0
-    replicas_retired: int = 0
-    scale_stalls: int = 0
-    drain_timeouts: int = 0
-    drain_requeues: int = 0
-    warming_time_s: float = 0.0
-    draining_time_s: float = 0.0
+    scale_up_events: int = _summarized()
+    scale_down_events: int = _summarized()
+    replicas_spawned: int = _summarized()
+    replicas_retired: int = _summarized()
+    scale_stalls: int = _summarized()
+    drain_timeouts: int = _summarized()
+    drain_requeues: int = _summarized()
+    warming_time_s: float = _summarized(0.0)
+    draining_time_s: float = _summarized(0.0)
     #: Replica-seconds paid (spawn to death), the bench's cost metric.
-    gpu_seconds_total: float = 0.0
+    gpu_seconds_total: float = _summarized(0.0)
     # -- gray-failure detection (runtime/failure_detection.py) -------------
     #: ALIVE → SUSPECTED transitions (replica drained, not killed).
-    suspicions: int = 0
+    suspicions: int = _summarized()
     #: SUSPECTED → ALIVE healings (the silence was a gray failure).
-    false_suspicions: int = 0
+    false_suspicions: int = _summarized()
     #: Stale completions discarded by lease fencing (zombie replays).
-    fenced_completions: int = 0
+    fenced_completions: int = _summarized()
     #: NETWORK_PARTITION windows that closed with the replica still live.
-    partition_heals: int = 0
+    partition_heals: int = _summarized()
     #: Per confirmed-dead replica: seconds from actual death to the
     #: detector's CONFIRMED_DEAD verdict (false confirmations excluded —
     #: a partitioned-but-alive replica has no death to measure from).
     detection_latencies: List[float] = field(default_factory=list)
     # -- tail-tolerant dispatch (runtime/hedging.py) -----------------------
     #: Speculative duplicate dispatches fired past the hedge threshold.
-    hedges_fired: int = 0
+    hedges_fired: int = _summarized()
     #: Hedged requests whose *speculative copy* finished first.
-    hedge_wins: int = 0
+    hedge_wins: int = _summarized()
     #: Late terminals of hedged requests fenced after the winner landed
     #: (duplicate work, never a duplicate terminal).
-    hedge_losses: int = 0
+    hedge_losses: int = _summarized()
     #: Retries/hedges denied because the retry budget ran dry.
-    retry_budget_exhausted: int = 0
+    retry_budget_exhausted: int = _summarized()
     # -- adapter-locality placement (runtime/placement.py) -----------------
     #: Requests routed off their overloaded home onto a replica already
     #: holding the adapter (locality kept, load respected).
-    placement_spills: int = 0
+    placement_spills: int = _summarized()
     #: Hot adapters promoted to k-replica service (watermark crossings).
-    placement_replications: int = 0
+    placement_replications: int = _summarized()
     #: Cold adapters demoted out of GPU slots fleet-wide.
-    placement_demotions: int = 0
+    placement_demotions: int = _summarized()
     #: Hot adapters prefetched onto freshly spawned replicas at warm-up.
-    adapters_prefetched: int = 0
+    adapters_prefetched: int = _summarized()
     # -- disaggregated prefill/decode serving (runtime/disagg.py) ----------
     #: Finished prefills handed off to a decode-pool replica.
-    kv_transfers: int = 0
+    kv_transfers: int = _summarized()
     #: Total modeled wire time of those KV moves (charged like swap-ins).
-    kv_transfer_seconds: float = 0.0
+    kv_transfer_seconds: float = _summarized(0.0)
     #: Total KV bytes moved across the pool boundary.
-    kv_transfer_bytes: int = 0
+    kv_transfer_bytes: int = _summarized()
     #: Hand-offs abandoned because the decode pool was permanently gone
     #: (the requests abort — there is nowhere left to decode).
-    kv_transfer_aborts: int = 0
+    kv_transfer_aborts: int = _summarized()
 
     def complete(self, req: Request) -> None:
         self.records.append(RequestRecord.from_request(req))
@@ -402,69 +412,19 @@ class MetricsCollector:
         return out
 
     def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector (e.g. one replica's) into this one."""
-        self.records.extend(other.records)
-        self.aborts.extend(other.aborts)
-        for mode, count in other.mode_iterations.items():
-            self.mode_iterations[mode] = (
-                self.mode_iterations.get(mode, 0) + count
-            )
-        self.num_mode_switches += other.num_mode_switches
-        self.num_preemptions += other.num_preemptions
-        self.switch_time_total += other.switch_time_total
-        self.lora_extra_time_total += other.lora_extra_time_total
-        self.iterations += other.iterations
-        self.swap_ins += other.swap_ins
-        self.swap_in_seconds += other.swap_in_seconds
-        self.adapter_cache_hits += other.adapter_cache_hits
-        self.adapter_cache_misses += other.adapter_cache_misses
-        self.swap_retries += other.swap_retries
-        self.adapters_quarantined += other.adapters_quarantined
-        self.mode_fallbacks += other.mode_fallbacks
-        self.shed_events += other.shed_events
-        self.kv_stall_iters += other.kv_stall_iters
-        self.failover_events += other.failover_events
-        self.engine_failures += other.engine_failures
-        self.admission_rejections += other.admission_rejections
-        self.brownout_sheds += other.brownout_sheds
-        self.brownout_truncations += other.brownout_truncations
-        self.brownout_forced_merges += other.brownout_forced_merges
-        self.brownout_transitions += other.brownout_transitions
-        self.brownout_time_s += other.brownout_time_s
-        self.breaker_opens += other.breaker_opens
-        self.breaker_half_opens += other.breaker_half_opens
-        self.breaker_closes += other.breaker_closes
-        self.requeue_limit_aborts += other.requeue_limit_aborts
-        self.cost_cache_hits += other.cost_cache_hits
-        self.cost_cache_misses += other.cost_cache_misses
-        self.scale_events.extend(other.scale_events)
-        self.scale_up_events += other.scale_up_events
-        self.scale_down_events += other.scale_down_events
-        self.replicas_spawned += other.replicas_spawned
-        self.replicas_retired += other.replicas_retired
-        self.scale_stalls += other.scale_stalls
-        self.drain_timeouts += other.drain_timeouts
-        self.drain_requeues += other.drain_requeues
-        self.warming_time_s += other.warming_time_s
-        self.draining_time_s += other.draining_time_s
-        self.gpu_seconds_total += other.gpu_seconds_total
-        self.suspicions += other.suspicions
-        self.false_suspicions += other.false_suspicions
-        self.fenced_completions += other.fenced_completions
-        self.partition_heals += other.partition_heals
-        self.detection_latencies.extend(other.detection_latencies)
-        self.hedges_fired += other.hedges_fired
-        self.hedge_wins += other.hedge_wins
-        self.hedge_losses += other.hedge_losses
-        self.retry_budget_exhausted += other.retry_budget_exhausted
-        self.placement_spills += other.placement_spills
-        self.placement_replications += other.placement_replications
-        self.placement_demotions += other.placement_demotions
-        self.adapters_prefetched += other.adapters_prefetched
-        self.kv_transfers += other.kv_transfers
-        self.kv_transfer_seconds += other.kv_transfer_seconds
-        self.kv_transfer_bytes += other.kv_transfer_bytes
-        self.kv_transfer_aborts += other.kv_transfer_aborts
+        """Fold another collector (e.g. one replica's) into this one.
+
+        Numbers add, lists extend, and ``mode_iterations`` adds per key.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, f.name, mine + theirs)
 
     def summary(self) -> Dict[str, float]:
         """A flat dict of the headline numbers (for bench JSON dumps).
@@ -493,28 +453,10 @@ class MetricsCollector:
             })
         for reason, count in sorted(self.abort_counts().items()):
             out[f"aborted_{reason}"] = float(count)
-        for key in ("swap_retries", "adapters_quarantined", "mode_fallbacks",
-                    "shed_events", "kv_stall_iters", "failover_events",
-                    "engine_failures", "admission_rejections",
-                    "brownout_sheds", "brownout_truncations",
-                    "brownout_forced_merges", "brownout_transitions",
-                    "brownout_time_s", "breaker_opens", "breaker_half_opens",
-                    "breaker_closes", "requeue_limit_aborts",
-                    "cost_cache_hits", "cost_cache_misses",
-                    "scale_up_events", "scale_down_events",
-                    "replicas_spawned", "replicas_retired", "scale_stalls",
-                    "drain_timeouts", "drain_requeues", "warming_time_s",
-                    "draining_time_s", "gpu_seconds_total",
-                    "suspicions", "false_suspicions", "fenced_completions",
-                    "partition_heals", "hedges_fired", "hedge_wins",
-                    "hedge_losses", "retry_budget_exhausted",
-                    "placement_spills", "placement_replications",
-                    "placement_demotions", "adapters_prefetched",
-                    "kv_transfers", "kv_transfer_seconds",
-                    "kv_transfer_bytes", "kv_transfer_aborts"):
-            value = getattr(self, key)
-            if value:
-                out[key] = float(value)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata.get("summary") and value:
+                out[f.name] = float(value)
         # Swap-traffic keys appear only once a swap (or failed swap) was
         # actually paid: an all-resident run — the common small-registry
         # case — keeps its summary unchanged.

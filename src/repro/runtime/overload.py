@@ -355,8 +355,7 @@ class BreakerConfig:
     """Knobs for :class:`AdapterBreaker`.
 
     ``failure_threshold`` consecutive swap failures open the breaker
-    (matching the engine's legacy ``max_swap_retries`` quarantine
-    count).  ``cooldown_s=None`` keeps an opened breaker open forever —
+    (the engine's quarantine count).  ``cooldown_s=None`` keeps an opened breaker open forever —
     exactly the old permanent quarantine.  With a cooldown, the breaker
     re-probes (half-open) after ``cooldown_s``, doubling by
     ``cooldown_multiplier`` on every re-open up to ``max_cooldown_s``;

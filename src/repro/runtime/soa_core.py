@@ -241,12 +241,6 @@ class SoAServingEngine:
                 "the SoA core does not support overload protection "
                 "(admission/brownout/breaker); use the object core"
             )
-        if config.timeout_policy is not None:
-            raise ValueError(
-                "the SoA core does not support tail-tolerant dispatch "
-                "(timeout_policy / hedging / retry budgets); use the "
-                "object core"
-            )
         if type(policy).schedule_soa is SchedulingPolicy.schedule_soa:
             raise ValueError(
                 f"policy {policy.name!r} has no schedule_soa fast path; "

@@ -76,6 +76,21 @@ class TestServe:
         assert rc == 2
         assert "fault rates" in capsys.readouterr().err
 
+    def test_give_up_after_bounds_single_gpu_run(self, capsys):
+        rc = main(["serve", "--rate", "8", "--duration", "3",
+                   "--adapters", "2", "--json", "--give-up-after", "0.05"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aborted_deadline_exceeded"] > 0
+        assert payload["aborted"] == payload["aborted_deadline_exceeded"]
+        assert payload["completed"] + payload["aborted"] == 24
+
+    def test_soa_core_rejects_give_up_after(self, capsys):
+        rc = main(["serve", "--core", "soa", "--rate", "2", "--duration",
+                   "2", "--adapters", "2", "--give-up-after", "0.05"])
+        assert rc == 2
+        assert "--give-up-after" in capsys.readouterr().err
+
     def test_bad_deadline_factor_rejected(self, capsys):
         rc = main(["serve", "--deadline-factor", "0"])
         assert rc == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.core import SystemBuilder
 from repro.runtime import (
     AbortReason,
+    BreakerConfig,
     FaultInjector,
     FaultKind,
     FaultSpec,
@@ -323,7 +324,7 @@ class TestSwapFaults:
         assert all(r.abort_reason is AbortReason.ADAPTER_UNAVAILABLE
                    for r in dead)
         assert metrics.adapters_quarantined == 1
-        assert metrics.swap_retries >= engine.config.max_swap_retries
+        assert metrics.swap_retries >= BreakerConfig().failure_threshold
 
     def test_quarantined_adapter_rejects_new_arrivals(self):
         specs = [FaultSpec(FaultKind.ADAPTER_SWAP_FAIL, 0.0, math.inf,

@@ -15,6 +15,8 @@ from hypothesis import given, strategies as st
 
 from repro.core import SystemBuilder
 from repro.runtime import (
+    AutoscaleConfig,
+    BreakerConfig,
     FaultInjector,
     FaultKind,
     FaultSpec,
@@ -76,37 +78,24 @@ def test_backoff_rejects_negative():
 # -- TimeoutPolicy ------------------------------------------------------------
 
 
-def test_timeout_policy_defaults_are_inert():
-    policy = TimeoutPolicy()
-    # Every field None: legacy knobs pass straight through.
-    assert policy.requeue_backoff(3, 0.5, 4.0) == \
-        capped_exponential_backoff(0.5, 3, 4.0)
-    assert policy.swap_backoff(2, 0.25, 2.0) == \
-        capped_exponential_backoff(0.25, 2, 2.0)
-
-
-def test_timeout_policy_fields_override_legacy_knobs():
-    policy = TimeoutPolicy(requeue_backoff_s=1.0, requeue_backoff_cap_s=2.0,
-                           swap_retry_base_s=0.1, swap_retry_cap_s=0.2)
-    assert policy.requeue_backoff(5, 99.0, 99.0) == 2.0
-    assert policy.swap_backoff(5, 99.0, 99.0) == 0.2
-
-
-def test_timeout_policy_backoff_clamped_to_deadline():
-    policy = TimeoutPolicy(requeue_backoff_s=1.0, requeue_backoff_cap_s=30.0)
-    assert policy.requeue_backoff(10, 0.0, 0.0, deadline_s=2.5) == 2.5
-
-
 @pytest.mark.parametrize("kwargs", [
     {"hedge_after_s": 0.0},
     {"give_up_after_s": -1.0},
-    {"drain_timeout_s": 0.0},
-    {"requeue_backoff_s": -0.1},
-    {"breaker_cooldown_s": -2.0},
 ])
 def test_timeout_policy_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         TimeoutPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AutoscaleConfig(drain_timeout_s=0.0),
+    lambda: BreakerConfig(cooldown_s=-2.0),
+], ids=["drain_timeout_s", "breaker_cooldown_s"])
+def test_timing_constant_homes_reject_bad_values(make):
+    """The drain timeout and breaker cooldown are validated where they
+    live (the requeue backoff: see the cluster constructor tests)."""
+    with pytest.raises(ValueError):
+        make()
 
 
 # -- RetryBudget --------------------------------------------------------------
@@ -410,10 +399,3 @@ def test_summary_hides_hedge_counters_when_zero():
     for key in ("hedges_fired", "hedge_wins", "hedge_losses",
                 "retry_budget_exhausted"):
         assert key not in summary
-
-
-def test_soa_core_rejects_timeout_policy():
-    builder = SystemBuilder(num_adapters=len(ADAPTER_IDS),
-                            timeout_policy=TimeoutPolicy(hedge_after_s=1.0))
-    with pytest.raises(ValueError, match="tail-tolerant"):
-        builder.build("v-lora", core="soa")

@@ -1,8 +1,16 @@
 """Tests for metrics accounting, including SLO attainment."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.runtime import MetricsCollector, Request, RequestRecord
+from repro.runtime import (
+    AbortRecord,
+    MetricsCollector,
+    Request,
+    RequestRecord,
+    ScaleEvent,
+)
 
 
 def finished_request(arrival=0.0, first=0.5, finish=1.0, slo=None,
@@ -67,6 +75,10 @@ class TestCollector:
         for key in ("completed", "avg_token_latency_ms", "throughput_rps",
                     "p99_latency_s", "mode_switches", "preemptions"):
             assert key in summary
+        # Summary-flagged counters stay out while zero.
+        for f in fields(metrics):
+            if f.metadata.get("summary"):
+                assert f.name not in summary
 
     def test_mode_counting(self):
         m = MetricsCollector()
@@ -116,3 +128,78 @@ class TestSLOAttainment:
         engine.submit(reqs)
         metrics = engine.run()
         assert metrics.slo_attainment() == 1.0
+
+
+# One element per list field; a new list field without an entry here
+# fails the merge test below until it gets one.
+_LIST_ELEMENTS = {
+    "records": lambda k: RequestRecord(
+        request_id=k, adapter_id="a", task_name="visual_qa",
+        arrival_time=0.0, first_token_time=0.1 * k, finish_time=1.0 * k,
+        input_tokens=10, output_tokens=k, slo_s=2.0),
+    "aborts": lambda k: AbortRecord(
+        request_id=100 + k, adapter_id="b", task_name="visual_qa",
+        arrival_time=0.0, abort_time=0.5 * k, reason="kv_exhausted",
+        input_tokens=10, output_tokens=5, generated=0, slo_s=1.0),
+    "scale_events": lambda k: ScaleEvent(
+        time=float(k), action="spawn", replica_id=f"gpu-{k}",
+        reason="test", num_members=k),
+    "detection_latencies": lambda k: 0.25 * k,
+}
+
+
+def _filled_collector(k: int) -> MetricsCollector:
+    """A collector with every field at a distinct non-default value."""
+    m = MetricsCollector()
+    for i, f in enumerate(fields(m)):
+        default = getattr(m, f.name)
+        if isinstance(default, list):
+            value = [_LIST_ELEMENTS[f.name](k)]
+        elif isinstance(default, dict):
+            value = {"merged": k, f"only-{k}": 10 * k}
+        elif isinstance(default, float):
+            value = 1000.0 * k + i + 0.5
+        else:
+            assert type(default) is int, f"no merge rule for {f.name}"
+            value = 1000 * k + i
+        setattr(m, f.name, value)
+    return m
+
+
+class TestMergeFrom:
+    def test_every_declared_field_merges(self):
+        a, b = _filled_collector(1), _filled_collector(2)
+        merged = MetricsCollector()
+        merged.merge_from(a)
+        merged.merge_from(b)
+        for f in fields(merged):
+            got = getattr(merged, f.name)
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, list):
+                assert got == va + vb, f.name
+            elif isinstance(va, dict):
+                assert got == {"merged": 3, "only-1": 10, "only-2": 20}
+            else:
+                assert got == va + vb and type(got) is type(va), f.name
+
+        summary = merged.summary()
+        assert summary["completed"] == 2.0
+        assert summary["aborted"] == 2.0
+        assert summary["aborted_kv_exhausted"] == 2.0
+        assert summary["mode_switches"] == float(merged.num_mode_switches)
+        flagged = [f.name for f in fields(merged)
+                   if f.metadata.get("summary")]
+        for name in flagged:
+            assert summary[name] == float(getattr(merged, name)), name
+        # Flagged counters print in declaration order.
+        printed = [key for key in summary if key in flagged]
+        assert printed == flagged
+        assert summary["swap_ins"] == float(merged.swap_ins)
+        assert summary["adapter_cache_hit_ratio"] == (
+            merged.adapter_cache_hits
+            / (merged.adapter_cache_hits + merged.adapter_cache_misses))
+        assert summary["detection_latency_p99_s"] == pytest.approx(
+            0.25 + 0.25 * 0.99)
+        # Both records met their 2 s SLO; both aborts carried an SLO
+        # and count as misses.
+        assert summary["slo_attainment"] == 0.5

@@ -550,6 +550,30 @@ class TestCascadingFailover:
         # Backoff pushed every re-homed arrival past the first failure.
         assert all(r.arrival_time >= 0.5 for r in rehomed)
 
+    def test_requeue_backoff_clamped_to_deadline(self):
+        # A 4 s backoff against a 1 s deadline: backing off past the
+        # deadline would only turn the retry into a deadline abort, so
+        # the delay is clamped to the deadline (no TimeoutPolicy needed).
+        inj = FaultInjector([
+            FaultSpec(FaultKind.ENGINE_FAIL, 0.1, target="gpu-0"),
+        ])
+        builder = SystemBuilder(num_adapters=2, fault_injector=inj)
+        server = MultiGPUServer.replicate(
+            lambda: builder.build("v-lora"), num_gpus=2,
+            dispatch="round-robin", requeue_backoff_s=4.0,
+        )
+        reqs = burst(builder.adapter_ids, n=8, output_tokens=200,
+                     deadline_s=1.0)
+        server.submit(reqs)
+        metrics = server.run()
+        assert metrics.num_completed + metrics.num_aborted == 8
+        rehomed = [r for r in reqs if r.requeues >= 1]
+        assert rehomed
+        # Orphans re-arrive at the failure time plus the clamped delay.
+        failed_at = server.engines[0].failed_at
+        for r in rehomed:
+            assert r.arrival_time == failed_at + 1.0
+
 
 class TestHealthAwareDispatch:
     def test_health_scores_rank_straggler_below_peer(self):
@@ -606,3 +630,5 @@ class TestHealthAwareDispatch:
             MultiGPUServer([engine], health_floor=1.5)
         with pytest.raises(ValueError, match="max_requeues"):
             MultiGPUServer([engine], max_requeues=0)
+        with pytest.raises(ValueError, match="requeue_backoff_s"):
+            MultiGPUServer([engine], requeue_backoff_s=-0.1)
