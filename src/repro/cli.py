@@ -342,17 +342,32 @@ def _parse_rates(text: str) -> Optional[List[float]]:
     return rates
 
 
+#: ``serve`` fault flags as (args attribute, ``FaultInjector.random``
+#: keyword): the one list both the ``>= 0`` check and the injector read.
+_FAULT_RATE_FLAGS = (
+    ("swap_fail_rate", "swap_fail_rate"),
+    ("swap_slow_rate", "swap_slow_rate"),
+    ("kv_pressure_rate", "kv_pressure_rate"),
+    ("engine_slow_rate", "engine_slow_rate"),
+    ("burst_rate", "load_burst_rate"),
+    ("scale_stall_rate", "scale_stall_rate"),
+    ("partition_rate", "partition_rate"),
+    ("heartbeat_loss_rate", "heartbeat_loss_rate"),
+    ("host_fail_rate", "host_fail_rate"),
+)
+
+
 def _make_fault_injector(args) -> "Optional[object]":
+    """The serve run's fault schedule; ``None`` when every rate is 0.
+
+    Raises ``ValueError`` on a negative rate.
+    """
     from repro.runtime.faults import FaultInjector
 
-    rates = (args.swap_fail_rate, args.swap_slow_rate,
-             args.kv_pressure_rate, args.engine_slow_rate,
-             getattr(args, "burst_rate", 0.0),
-             getattr(args, "scale_stall_rate", 0.0),
-             getattr(args, "partition_rate", 0.0),
-             getattr(args, "heartbeat_loss_rate", 0.0),
-             getattr(args, "host_fail_rate", 0.0))
-    if all(r <= 0 for r in rates):
+    rates = {kw: getattr(args, attr) for attr, kw in _FAULT_RATE_FLAGS}
+    if any(r < 0 for r in rates.values()):
+        raise ValueError("fault rates must be >= 0")
+    if all(r == 0 for r in rates.values()):
         return None
     adapter_ids = [f"lora-{i}" for i in range(args.adapters)]
     num_gpus = getattr(args, "num_gpus", 1)
@@ -366,16 +381,8 @@ def _make_fault_injector(args) -> "Optional[object]":
         seed=args.fault_seed,
         adapter_ids=adapter_ids,
         engine_ids=engine_ids,
-        swap_fail_rate=args.swap_fail_rate,
-        swap_slow_rate=args.swap_slow_rate,
-        kv_pressure_rate=args.kv_pressure_rate,
-        engine_slow_rate=args.engine_slow_rate,
-        load_burst_rate=getattr(args, "burst_rate", 0.0),
-        scale_stall_rate=getattr(args, "scale_stall_rate", 0.0),
-        partition_rate=getattr(args, "partition_rate", 0.0),
-        heartbeat_loss_rate=getattr(args, "heartbeat_loss_rate", 0.0),
-        host_fail_rate=getattr(args, "host_fail_rate", 0.0),
         host_ids=tuple(f"host-{i}" for i in range(num_hosts)),
+        **rates,
     )
 
 
@@ -503,65 +510,42 @@ def cmd_models(_args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def _serve_setup(args):
+    """(engine or cluster, requests, timeout policy) for ``serve``.
+
+    Every malformed flag — a usage error, or a value a config, the
+    builder or the workload rejects — raises ``ValueError``.
+    """
     if args.deadline_factor is not None and args.deadline_factor <= 0:
-        print(f"--deadline-factor must be positive, got {args.deadline_factor}",
-              file=sys.stderr)
-        return 2
-    fault_rates = (args.swap_fail_rate, args.swap_slow_rate,
-                   args.kv_pressure_rate, args.engine_slow_rate,
-                   args.burst_rate, args.partition_rate,
-                   args.heartbeat_loss_rate, args.host_fail_rate)
-    if any(r < 0 for r in fault_rates):
-        print("fault rates must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"--deadline-factor must be positive, got {args.deadline_factor}")
     if args.num_hosts < 0:
-        print(f"--num-hosts must be >= 0, got {args.num_hosts}",
-              file=sys.stderr)
-        return 2
-    try:
-        admission, brownout, breaker = _make_overload_configs(args)
-    except ValueError as exc:
-        print(f"bad overload-protection flags: {exc}", file=sys.stderr)
-        return 2
-    try:
-        hedge, retry_budget, timeout_policy = _make_tail_configs(args)
-    except ValueError as exc:
-        print(f"bad tail-tolerance flags: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--num-hosts must be >= 0, got {args.num_hosts}")
+    admission, brownout, breaker = _make_overload_configs(args)
+    hedge, retry_budget, timeout_policy = _make_tail_configs(args)
     if args.disagg:
         if args.prefill_replicas < 1 or args.decode_replicas < 1:
-            print("--prefill-replicas and --decode-replicas must be >= 1",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(
+                "--prefill-replicas and --decode-replicas must be >= 1")
         total = args.prefill_replicas + args.decode_replicas
         if args.num_gpus not in (1, total):
             # 1 is argparse's default: treat it as "derive from the pools".
-            print(f"--num-gpus {args.num_gpus} disagrees with "
-                  f"--prefill-replicas + --decode-replicas = {total}; "
-                  f"drop --num-gpus (it is derived) or make them match",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(
+                f"--num-gpus {args.num_gpus} disagrees with "
+                f"--prefill-replicas + --decode-replicas = {total}; "
+                f"drop --num-gpus (it is derived) or make them match")
         args.num_gpus = total
     if hedge is not None and args.num_gpus < 2 and not args.autoscale:
-        print("--hedge needs a second replica to race against "
-              "(--num-gpus >= 2 or --autoscale)", file=sys.stderr)
-        return 2
+        raise ValueError("--hedge needs a second replica to race against "
+                         "(--num-gpus >= 2 or --autoscale)")
     if args.slo is not None and args.slo <= 0:
-        print(f"--slo must be positive, got {args.slo}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--slo must be positive, got {args.slo}")
     if args.gpu_slots is not None and args.gpu_slots <= 0:
-        print(f"--gpu-slots must be positive, got {args.gpu_slots}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--gpu-slots must be positive, got {args.gpu_slots}")
     if args.profile is not None and args.profile <= 0:
-        print(f"--profile must be positive, got {args.profile}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--profile must be positive, got {args.profile}")
     if args.num_gpus < 1:
-        print(f"--num-gpus must be >= 1, got {args.num_gpus}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--num-gpus must be >= 1, got {args.num_gpus}")
     injector = _make_fault_injector(args)
     builder = SystemBuilder(model=get_model(args.model),
                             num_adapters=args.adapters,
@@ -575,15 +559,13 @@ def cmd_serve(args) -> int:
                             breaker=breaker)
     if args.dispatch == "locality" and args.num_gpus < 2 \
             and not args.autoscale:
-        print("--dispatch locality needs a fleet to place over "
-              "(--num-gpus >= 2 or --autoscale)", file=sys.stderr)
-        return 2
+        raise ValueError("--dispatch locality needs a fleet to place over "
+                         "(--num-gpus >= 2 or --autoscale)")
     if (args.num_gpus > 1 or args.autoscale or args.detector
             or hedge is not None or args.disagg):
         if args.core != "object":
-            print("--core soa is single-GPU only (no --num-gpus/--autoscale/"
-                  "--detector/--disagg)", file=sys.stderr)
-            return 2
+            raise ValueError("--core soa is single-GPU only (no --num-gpus/"
+                             "--autoscale/--detector/--disagg)")
         from repro.runtime import (
             AdapterPlacement,
             AutoscaleConfig,
@@ -597,43 +579,31 @@ def cmd_serve(args) -> int:
 
         scaler = None
         if args.autoscale:
-            try:
-                scaler = Autoscaler(AutoscaleConfig(
-                    min_replicas=args.autoscale_min,
-                    max_replicas=args.autoscale_max,
-                    interval_s=args.autoscale_interval,
-                    target_queue_per_replica=args.autoscale_target_queue,
-                    slo_floor=args.autoscale_slo_floor,
-                    spinup_s=args.autoscale_spinup,
-                    drain_timeout_s=args.autoscale_drain_timeout,
-                ))
-            except ValueError as exc:
-                print(f"bad autoscale flags: {exc}", file=sys.stderr)
-                return 2
+            scaler = Autoscaler(AutoscaleConfig(
+                min_replicas=args.autoscale_min,
+                max_replicas=args.autoscale_max,
+                interval_s=args.autoscale_interval,
+                target_queue_per_replica=args.autoscale_target_queue,
+                slo_floor=args.autoscale_slo_floor,
+                spinup_s=args.autoscale_spinup,
+                drain_timeout_s=args.autoscale_drain_timeout,
+            ))
         detector = None
         if args.detector:
-            try:
-                detector = FailureDetector(FailureDetectorConfig(
-                    heartbeat_interval_s=args.heartbeat_interval,
-                    phi_suspect=args.phi_suspect,
-                    phi_confirm=args.phi_confirm,
-                ))
-            except ValueError as exc:
-                print(f"bad detector flags: {exc}", file=sys.stderr)
-                return 2
+            detector = FailureDetector(FailureDetectorConfig(
+                heartbeat_interval_s=args.heartbeat_interval,
+                phi_suspect=args.phi_suspect,
+                phi_confirm=args.phi_confirm,
+            ))
         placement = None
         if args.dispatch == "locality":
-            try:
-                placement_cfg = PlacementConfig(
-                    hot_watermark=args.placement_hot_watermark,
-                    hot_copies=args.placement_hot_copies,
-                    cold_watermark=args.placement_cold_watermark,
-                    prefetch_top_k=args.placement_prefetch_top_k,
-                    interval_s=args.placement_interval,
-                )
-            except ValueError as exc:
-                print(f"bad placement flags: {exc}", file=sys.stderr)
-                return 2
+            placement_cfg = PlacementConfig(
+                hot_watermark=args.placement_hot_watermark,
+                hot_copies=args.placement_hot_copies,
+                cold_watermark=args.placement_cold_watermark,
+                prefetch_top_k=args.placement_prefetch_top_k,
+                interval_s=args.placement_interval,
+            )
             builder.placement = placement_cfg
             placement = AdapterPlacement(placement_cfg)
         disagg = None
@@ -646,25 +616,17 @@ def cmd_serve(args) -> int:
                 # prefill pool keeps the queue-depth policy; the decode
                 # pool scales on fleet KV residency instead.
                 prefill_scale = scaler.config
-                try:
-                    decode_scale = dc_replace(
-                        scaler.config,
-                        target_utilization=args.disagg_kv_target,
-                    )
-                except ValueError as exc:
-                    print(f"bad --disagg-kv-target: {exc}", file=sys.stderr)
-                    return 2
-                scaler = None
-            try:
-                disagg = DisaggConfig(
-                    prefill_replicas=args.prefill_replicas,
-                    decode_replicas=args.decode_replicas,
-                    prefill_autoscale=prefill_scale,
-                    decode_autoscale=decode_scale,
+                decode_scale = dc_replace(
+                    scaler.config,
+                    target_utilization=args.disagg_kv_target,
                 )
-            except ValueError as exc:
-                print(f"bad disagg flags: {exc}", file=sys.stderr)
-                return 2
+                scaler = None
+            disagg = DisaggConfig(
+                prefill_replicas=args.prefill_replicas,
+                decode_replicas=args.decode_replicas,
+                prefill_autoscale=prefill_scale,
+                decode_autoscale=decode_scale,
+            )
         engine = MultiGPUServer.replicate(
             lambda: builder.build(args.system), args.num_gpus,
             dispatch=args.dispatch, autoscaler=scaler,
@@ -675,31 +637,31 @@ def cmd_serve(args) -> int:
         )
     else:
         if args.core != "object" and timeout_policy is not None:
-            print("--core soa does not support --give-up-after; use "
-                  "--core object", file=sys.stderr)
-            return 2
-        try:
-            engine = builder.build(args.system, core=args.core)
-        except ValueError as exc:
-            if args.core == "object":
-                raise
-            print(f"--core soa: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("--core soa does not support --give-up-after; "
+                             "use --core object")
+        engine = builder.build(args.system, core=args.core)
     if args.trace_in:
         try:
             requests = load_trace(args.trace_in)
         except FileNotFoundError:
-            print(f"trace file not found: {args.trace_in}", file=sys.stderr)
-            return 2
+            raise ValueError(f"trace file not found: {args.trace_in}")
         except (ValueError, KeyError) as exc:
-            print(f"malformed trace {args.trace_in}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"malformed trace {args.trace_in}: {exc}")
     else:
         requests = _make_workload(args, args.system)
     if injector is not None and injector.load_burst_windows():
         from repro.workloads.burst import apply_load_bursts
 
         requests = apply_load_bursts(requests, injector)
+    return engine, requests, timeout_policy
+
+
+def cmd_serve(args) -> int:
+    try:
+        engine, requests, timeout_policy = _serve_setup(args)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     if args.trace_out:
         save_trace(args.trace_out, requests)
         print(f"trace saved to {args.trace_out} ({len(requests)} requests)")

@@ -44,6 +44,13 @@ from repro.runtime.overload import EwmaSignal
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import ServingEngine
 
+#: Minimum seconds between two scale-ups (the scale-down cooldown is
+#: :attr:`AutoscaleConfig.down_cooldown_s`).
+UP_COOLDOWN_S = 1.0
+#: Replicas one pool may ever spawn in a run: the self-healing loop's
+#: backstop against a fault schedule that kills every newcomer.
+SPAWN_BUDGET = 64
+
 __all__ = [
     "AutoscaleConfig",
     "Autoscaler",
@@ -118,9 +125,8 @@ class AutoscaleConfig:
     requests drops below the floor (``None`` disables the SLO signal).
     ``spinup_s`` is the engine-provisioning part of the cold start; the
     adapter-prefetch part is derived from the replica's own swap path
-    (:func:`estimate_cold_start_s`).  ``spawn_budget`` bounds the total
-    number of replicas ever spawned in one run — the self-healing loop's
-    backstop against a fault schedule that kills every newcomer.
+    (:func:`estimate_cold_start_s`).  Scale-ups are spaced by
+    :data:`UP_COOLDOWN_S` and bounded per run by :data:`SPAWN_BUDGET`.
     """
 
     min_replicas: int = 1
@@ -135,11 +141,9 @@ class AutoscaleConfig:
     down_fraction: float = 0.25
     slo_floor: Optional[float] = None
     ewma_alpha: float = 0.4
-    up_cooldown_s: float = 1.0
     down_cooldown_s: float = 5.0
     spinup_s: float = 0.5
     drain_timeout_s: float = 30.0
-    spawn_budget: int = 64
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
@@ -159,14 +163,12 @@ class AutoscaleConfig:
             raise ValueError("slo_floor must be in (0, 1]")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.up_cooldown_s < 0 or self.down_cooldown_s < 0:
-            raise ValueError("cooldowns must be >= 0")
+        if self.down_cooldown_s < 0:
+            raise ValueError("down_cooldown_s must be >= 0")
         if self.spinup_s < 0:
             raise ValueError("spinup_s must be >= 0")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive")
-        if self.spawn_budget < 1:
-            raise ValueError("spawn_budget must be >= 1")
 
 
 class Autoscaler:
@@ -252,7 +254,7 @@ class Autoscaler:
         slo_pressure = (cfg.slo_floor is not None
                         and smoothed_slo < cfg.slo_floor)
         if (members < cfg.max_replicas
-                and now - self._last_up >= cfg.up_cooldown_s
+                and now - self._last_up >= UP_COOLDOWN_S
                 and (up_pressure or slo_pressure)):
             self._last_up = now
             # Scaling up also re-arms the down cooldown so the policy

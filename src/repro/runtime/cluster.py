@@ -55,6 +55,7 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.autoscaler import (
+    SPAWN_BUDGET,
     Autoscaler,
     Replica,
     ReplicaState,
@@ -82,7 +83,7 @@ from repro.runtime.hedging import (
     TimeoutPolicy,
     capped_exponential_backoff,
 )
-from repro.runtime.metrics import MetricsCollector, ScaleEvent
+from repro.runtime.metrics import AbortRecord, MetricsCollector, ScaleEvent
 from repro.runtime.overload import ReplicaHealth
 from repro.runtime.placement import AdapterPlacement
 from repro.runtime.request import AbortReason, Request, RequestStatus
@@ -209,10 +210,7 @@ class MultiGPUServer:
         #: no-op filter.
         self._pool_of: Dict[str, str] = {}
         self._transfer_costs = (
-            TransferCostCache(
-                async_overlap=disagg.transfer_overlap,
-                software_overhead_s=disagg.transfer_overhead_s,
-            ) if disagg is not None else None
+            TransferCostCache() if disagg is not None else None
         )
         #: (pool, scaler) pairs driving scale/drain passes.  A legacy
         #: cluster-wide autoscaler is the single ``(None, scaler)``
@@ -261,13 +259,13 @@ class MultiGPUServer:
         self._replica_of = {rep.replica_id: rep for rep in self.replicas}
         self._next_replica_idx = len(self.replicas)
         #: Spawns consumed per pool (``None`` = the cluster-wide pool),
-        #: each bounded by its own scaler's ``spawn_budget``.
+        #: each bounded by :data:`~repro.runtime.autoscaler.SPAWN_BUDGET`.
         self._spawns_used: Dict[Optional[str], int] = {}
         if disagg is not None:
             for i, rep in enumerate(self.replicas):
                 pool = pool_of_index(i, disagg)
                 self._pool_of[rep.replica_id] = pool
-                apply_pool_role(rep.engine, pool, disagg)
+                apply_pool_role(rep.engine, pool)
         #: Requests accepted but not yet placed on a replica
         #: (epoched mode only), ordered by (arrival, id).  The sequence
         #: counter breaks (arrival, id) ties: a hedge twin shares its
@@ -744,36 +742,98 @@ class MultiGPUServer:
     def _dispatch_due(self, t_next: float) -> None:
         if not self._undispatched:
             return
-        if self.detector is not None:
-            # No oracle: route by *believed* health.  A silently-dead
-            # replica still ALIVE in the detector receives traffic —
-            # realistically stranding it until confirmation seizes it.
-            active = [
-                rep.engine for rep in self._members(ReplicaState.ACTIVE)
-                if self.detector.state_of(rep.replica_id)
-                is SuspicionState.ALIVE
-            ]
-        else:
-            active = [rep.engine
-                      for rep in self._members(ReplicaState.ACTIVE)
-                      if not rep.engine.failed]
         # Disaggregated: fresh requests always need a prefill first, so
         # only the prefill pool receives dispatch.
-        active = [e for e in active if self._takes_fresh_dispatch(e)]
+        active = [rep.engine for rep in self._members(ReplicaState.ACTIVE)
+                  if self._believed_alive(rep)
+                  and self._takes_fresh_dispatch(rep.engine)]
         if not active:
             return  # hold the queue; warming/healing will provide capacity
         due: List[Request] = []
+        paired: List[Request] = []
         while self._undispatched and self._undispatched[0][0] <= t_next:
             r = heapq.heappop(self._undispatched)[-1]
-            if r.request_id in self._accepted:
-                # A requeued copy of a hedged pair whose other copy
-                # already won: dropping it here saves a full re-run.
-                self.cluster_metrics.hedge_losses += 1
-                self._mirror_outcome(r)
+            # A twin requeued by drain timeout must still run; a copy
+            # whose other copy already won is dropped (saves a re-run).
+            if self._settled(r, lose_twins=False):
                 continue
-            due.append(r)
+            if r.request_id in self._hedged_rids:
+                paired.append(r)
+            else:
+                due.append(r)
         if due:
             self._dispatch(due, active)
+        for r in paired:
+            # Never onto the engine running its other copy; with no
+            # other engine, wait for that copy to settle.
+            apart = [e for e in active
+                     if not self._holds_copy(e, r.request_id)]
+            if apart:
+                self._dispatch([r], apart)
+            else:
+                self._requeue([r])
+
+    def _believed_alive(self, rep: Replica) -> bool:
+        """Whether routing may send work to ``rep``.
+
+        Without a detector this is the failure oracle.  With one, the
+        cluster routes by *believed* health: a silently-dead replica
+        still ALIVE in the detector receives traffic, realistically
+        stranding it until confirmation seizes it.
+        """
+        if self.detector is not None:
+            return (self.detector.state_of(rep.replica_id)
+                    is SuspicionState.ALIVE)
+        return not rep.engine.failed
+
+    def _settled(self, r: Request, lose_twins: bool = True) -> bool:
+        """Hedge-copy triage: True when ``r`` needs no more work.
+
+        A copy whose request id already has an accepted terminal lost
+        the race: it counts as a ``hedge_loss`` and, when it is the
+        original request object, mirrors the winner's outcome.  With
+        ``lose_twins``, an unaccepted hedge twin is dropped the same
+        way (its primary still carries the request).  Callers holding a
+        twin that must still run — requeued by a drain timeout, or
+        already prefilled — pass ``lose_twins=False``.
+        """
+        rid = r.request_id
+        if rid in self._accepted:
+            self.cluster_metrics.hedge_losses += 1
+            if not r.is_hedge:
+                self._mirror_outcome(r)
+            return True
+        if lose_twins and r.is_hedge:
+            self._hedged_rids.discard(rid)
+            self.cluster_metrics.hedge_losses += 1
+            return True
+        return False
+
+    @staticmethod
+    def _holds_copy(engine: ServingEngine, rid: int) -> bool:
+        """Whether ``engine`` holds a live copy of request ``rid``.
+
+        An engine keys its live requests by id, so the two copies of a
+        hedged pair must never share one.
+        """
+        return (rid in engine._active
+                or any(r.request_id == rid
+                       for r in engine.pending_requests)
+                or any(r.request_id == rid for r in engine.handoff_outbox))
+
+    def _deliver_outbox(self, engine: ServingEngine) -> None:
+        """Deliver one engine's completion outbox through the fence."""
+        outbox, engine.completion_outbox = engine.completion_outbox, []
+        for comp in outbox:
+            self._accept(comp)
+
+    def _rehome(self, orphans: List[Request]) -> None:
+        """Failover orphans rejoin the queue: vet, back off, requeue."""
+        orphans = self._vet_orphans(orphans)
+        if orphans:
+            self._apply_requeue_backoff(orphans)
+            self.cluster_metrics.failover_events += len(orphans)
+            self._requeue(orphans)
 
     def _requeue(self, orphans: Sequence[Request]) -> None:
         for r in orphans:
@@ -797,18 +857,12 @@ class MultiGPUServer:
             e = rep.engine
             if not e.failed:
                 continue
-            if self._fenced and e.completion_outbox:
+            if self._fenced:
                 # Terminals the engine recorded before dying were real
                 # results; deliver them through the fence (mirrors the
                 # unfenced path, where they were already in metrics).
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
-            orphans = self._vet_orphans(e.drain_orphans())
-            if orphans:
-                self._apply_requeue_backoff(orphans)
-                self.cluster_metrics.failover_events += len(orphans)
-                self._requeue(orphans)
+                self._deliver_outbox(e)
+            self._rehome(e.drain_orphans())
             self._retire(rep, max(t_next, e.clock.now), "fail",
                          "engine failed")
 
@@ -825,25 +879,12 @@ class MultiGPUServer:
         """
         for rep in self._members(ReplicaState.WARMING, ReplicaState.ACTIVE,
                                  ReplicaState.DRAINING):
-            e = rep.engine
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(rep.engine)
 
     def _hedge_eligible_engines(self) -> List[ServingEngine]:
         """ACTIVE replicas a hedge may be placed on (or fired from)."""
-        out = []
-        for rep in self._members(ReplicaState.ACTIVE):
-            e = rep.engine
-            if e.failed:
-                continue
-            if (self.detector is not None
-                    and self.detector.state_of(e.engine_id)
-                    is not SuspicionState.ALIVE):
-                continue
-            out.append(e)
-        return out
+        return [rep.engine for rep in self._members(ReplicaState.ACTIVE)
+                if not rep.engine.failed and self._believed_alive(rep)]
 
     def _hedge_pass(self, t_next: float) -> None:
         """Fire speculative duplicates for requests stuck past the
@@ -943,23 +984,9 @@ class MultiGPUServer:
 
     def _transfer_targets(self) -> List[ServingEngine]:
         """Decode replicas a hand-off may be delivered to right now."""
-        out = []
-        for rep in self._members(ReplicaState.ACTIVE):
-            if self._pool_of.get(rep.replica_id) != DECODE_POOL:
-                continue
-            e = rep.engine
-            if self.detector is not None:
-                # Route by *believed* health, exactly like dispatch: a
-                # silently-dead decode replica still receives transfers
-                # (realistically stranding them until confirmation
-                # seizes and rewinds them).
-                if (self.detector.state_of(rep.replica_id)
-                        is not SuspicionState.ALIVE):
-                    continue
-            elif e.failed:
-                continue
-            out.append(e)
-        return out
+        return [rep.engine for rep in self._members(ReplicaState.ACTIVE)
+                if self._pool_of.get(rep.replica_id) == DECODE_POOL
+                and self._believed_alive(rep)]
 
     @staticmethod
     def _transfer_target_key(engine: ServingEngine):
@@ -1015,14 +1042,7 @@ class MultiGPUServer:
                     continue  # decode capacity is (or may be) coming
                 outbox, e.handoff_outbox = e.handoff_outbox, []
                 for r in outbox:
-                    if r.request_id in self._accepted:
-                        self.cluster_metrics.hedge_losses += 1
-                        if not r.is_hedge:
-                            self._mirror_outcome(r)
-                        continue
-                    if r.is_hedge:
-                        self._hedged_rids.discard(r.request_id)
-                        self.cluster_metrics.hedge_losses += 1
+                    if self._settled(r):
                         continue
                     self.cluster_metrics.kv_transfer_aborts += 1
                     self._cluster_abort(r, max(r.arrival_time, t_next))
@@ -1030,13 +1050,19 @@ class MultiGPUServer:
             outbox, e.handoff_outbox = e.handoff_outbox, []
             for r in sorted(outbox, key=lambda q: (q.arrival_time,
                                                    q.request_id)):
-                if r.request_id in self._accepted:
-                    # The other copy of a hedged pair already won.
-                    self.cluster_metrics.hedge_losses += 1
-                    if not r.is_hedge:
-                        self._mirror_outcome(r)
+                # A prefilled twin still races its primary to decode.
+                if self._settled(r, lose_twins=False):
                     continue
-                dst = min(targets, key=self._transfer_target_key)
+                dsts = targets
+                if r.request_id in self._hedged_rids:
+                    dsts = [d for d in targets
+                            if not self._holds_copy(d, r.request_id)]
+                    if not dsts:
+                        # Its other copy holds the only decode target:
+                        # wait for that copy to settle.
+                        e.handoff_outbox.append(r)
+                        continue
+                dst = min(dsts, key=self._transfer_target_key)
                 nbytes = kv_transfer_bytes(r, dst.model)
                 wire_s = self._transfer_costs.seconds(
                     dst.adapters.transfer, nbytes)
@@ -1146,10 +1172,7 @@ class MultiGPUServer:
                                    "backlog delivered")
             for t in self._withheld_hb.pop(rid, []):
                 self.detector.heartbeat(rid, t)
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(e)
         # Confirmed-dead replicas whose partition healed deliver their
         # seized mail late; every entry carries a pre-seizure token, so
         # all of it fences.
@@ -1238,17 +1261,12 @@ class MultiGPUServer:
             self.cluster_metrics.detection_latencies.append(t_next - death)
         rewound: List[Request] = []
         if e.completion_outbox:
-            outbox, e.completion_outbox = e.completion_outbox, []
-            for comp in outbox:
+            for comp in e.completion_outbox:
                 comp.request.reset_for_requeue(t_next)
                 rewound.append(comp.request)
-            self._zombie_mail.setdefault(rid, []).extend(outbox)
-        orphans = e.drain_orphans() + rewound
-        orphans = self._vet_orphans(orphans)
-        if orphans:
-            self._apply_requeue_backoff(orphans)
-            self.cluster_metrics.failover_events += len(orphans)
-            self._requeue(orphans)
+            self._zombie_mail.setdefault(rid, []).extend(e.completion_outbox)
+            e.completion_outbox.clear()
+        self._rehome(e.drain_orphans() + rewound)
         self._retire(rep, max(t_next, e.clock.now), "fail",
                      "confirmed dead")
 
@@ -1265,11 +1283,7 @@ class MultiGPUServer:
                 self._accept(comp)
         self._zombie_mail.clear()
         for rep in self.replicas:
-            e = rep.engine
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(rep.engine)
 
     def _drain_pass(self, t_next: float) -> None:
         """Retire empty DRAINING replicas; time out stuck drains.
@@ -1281,9 +1295,8 @@ class MultiGPUServer:
         abort a healthy request via ``max_requeues``.
         """
         for rep in self._members(ReplicaState.DRAINING):
-            scaler = self._scaler_of(rep)
-            if scaler is None:
-                continue  # only scalers start drains, so this is dead code
+            # Only scalers start drains, so every draining pool has one.
+            scaler = self._scaler_for(self._pool_of.get(rep.replica_id))
             e = rep.engine
             if e.num_live == 0:
                 self._retire(rep, max(t_next, e.clock.now), "retire",
@@ -1316,9 +1329,8 @@ class MultiGPUServer:
         )
         self._record_event(now, action, rep, reason)
 
-    def _scaler_of(self, rep: Replica) -> Optional[Autoscaler]:
-        """The scaler owning one replica's pool (None = unscaled pool)."""
-        pool = self._pool_of.get(rep.replica_id)
+    def _scaler_for(self, pool: Optional[str]) -> Optional[Autoscaler]:
+        """The scaler owning ``pool`` (None = unscaled pool)."""
         for p, scaler in self._scalers:
             if p == pool:
                 return scaler
@@ -1400,27 +1412,20 @@ class MultiGPUServer:
             return None
         return met / total
 
-    def _can_spawn(self, pool: Optional[str] = None,
-                   scaler: Optional[Autoscaler] = None) -> bool:
-        """Whether ``pool`` (or, with no arguments, *any* pool) can grow.
+    def _can_spawn(self, pool: Optional[str]) -> bool:
+        """Whether ``pool`` (``None`` = the cluster-wide pool) can grow.
 
-        Detector-only clusters have a fixed replica set (no scalers),
-        matching the legacy behavior.
+        A pool without a scaler has a fixed replica set (detector-only
+        clusters, unscaled disagg pools), matching the legacy behavior.
         """
+        scaler = self._scaler_for(pool)
         if scaler is None:
-            if pool is None and len(self._scalers) != 1:
-                return any(self._can_spawn(p, s) for p, s in self._scalers)
-            for p, s in self._scalers:
-                if p == pool or pool is None:
-                    return self._can_spawn(p, s)
             return False
-        cfg = scaler.config
         members = self._pool_members(pool, ReplicaState.WARMING,
                                      ReplicaState.ACTIVE,
                                      ReplicaState.DRAINING)
-        return (self.engine_factory is not None
-                and self._spawns_used.get(pool, 0) < cfg.spawn_budget
-                and len(members) < cfg.max_replicas)
+        return (self._spawns_used.get(pool, 0) < SPAWN_BUDGET
+                and len(members) < scaler.config.max_replicas)
 
     def _fresh_replica_id(self) -> str:
         while True:
@@ -1429,19 +1434,17 @@ class MultiGPUServer:
             if rid not in self._replica_of:
                 return rid
 
-    def _spawn_replica(self, now: float, pool: Optional[str] = None,
-                       scaler: Optional[Autoscaler] = None) -> bool:
+    def _spawn_replica(self, now: float, pool: Optional[str],
+                       scaler: Autoscaler) -> bool:
         """Provision one WARMING replica; False when spawning is capped."""
-        if scaler is None:
-            scaler = self.autoscaler
-        if not self._can_spawn(pool, scaler):
+        if not self._can_spawn(pool):
             return False
         cfg = scaler.config
         engine = self.engine_factory()
         engine.engine_id = self._fresh_replica_id()
         if pool is not None:
             self._pool_of[engine.engine_id] = pool
-            apply_pool_role(engine, pool, self.disagg)
+            apply_pool_role(engine, pool)
         if self._num_hosts:
             engine.host = f"host-{self._host_seq % self._num_hosts}"
             self._host_seq += 1
@@ -1476,11 +1479,9 @@ class MultiGPUServer:
                            f"cold start {cold * stall:.3f}s{pool_tag}")
         return True
 
-    def _drain_one(self, now: float, pool: Optional[str] = None,
-                   scaler: Optional[Autoscaler] = None) -> None:
+    def _drain_one(self, now: float, pool: Optional[str],
+                   scaler: Autoscaler) -> None:
         """Quiesce the scale-down victim: worst health, then emptiest."""
-        if scaler is None:
-            scaler = self.autoscaler
         cfg = scaler.config
         candidates = [rep for rep in self._pool_members(
                           pool, ReplicaState.ACTIVE)
@@ -1525,16 +1526,8 @@ class MultiGPUServer:
             return
         while self._undispatched:
             r = heapq.heappop(self._undispatched)[-1]
-            if r.request_id in self._accepted:
-                self.cluster_metrics.hedge_losses += 1
-                if not r.is_hedge:
-                    self._mirror_outcome(r)
-                continue
-            if r.is_hedge:
-                self._hedged_rids.discard(r.request_id)
-                self.cluster_metrics.hedge_losses += 1
-                continue
-            self._cluster_abort(r, max(r.arrival_time, now))
+            if not self._settled(r):
+                self._cluster_abort(r, max(r.arrival_time, now))
 
     def _quiescent(self) -> bool:
         if self._undispatched:
@@ -1569,9 +1562,17 @@ class MultiGPUServer:
     def _cluster_abort(self, r: Request, now: float,
                        reason: AbortReason = AbortReason.ENGINE_FAILED
                        ) -> None:
-        """Terminalize a request the cluster itself gave up on."""
+        """Terminalize a request the cluster itself gave up on.
+
+        The abort is accepted like a delivered terminal, so a hedge copy
+        of the request still running elsewhere is fenced as a lost race
+        instead of adding a second terminal.
+        """
         r.abort(now, reason)
-        self.cluster_metrics.record_abort(r)
+        record = AbortRecord.from_request(r)
+        self.cluster_metrics.aborts.append(record)
+        self._accepted[r.request_id] = Completion(
+            r, r.lease, "abort", record, now)
 
     def _vet_orphans(self, orphans: List[Request]) -> List[Request]:
         """Filter failover orphans before they rejoin the queue.
@@ -1588,15 +1589,7 @@ class MultiGPUServer:
         """
         kept: List[Request] = []
         for r in orphans:
-            rid = r.request_id
-            if rid in self._accepted:
-                self.cluster_metrics.hedge_losses += 1
-                if not r.is_hedge:
-                    self._mirror_outcome(r)
-                continue
-            if r.is_hedge:
-                self._hedged_rids.discard(rid)
-                self.cluster_metrics.hedge_losses += 1
+            if self._settled(r):
                 continue
             if (self.max_requeues is not None
                     and r.requeues > self.max_requeues):

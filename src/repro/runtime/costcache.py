@@ -43,6 +43,13 @@ from repro.models.costs import IterationCostModel
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.modes import InferenceMode, ModeExecutor
 
+#: Flat software cost of one prefill→decode KV hand-off (launch +
+#: transport setup), on top of the wire time.
+KV_TRANSFER_OVERHEAD_S = 0.5e-3
+#: Fraction of a hand-off's wire time hidden behind the receiving
+#: replica's compute (none: the decode replica waits for its KV).
+KV_TRANSFER_OVERLAP = 0.0
+
 
 @dataclass(frozen=True)
 class BatchSignature:
@@ -192,16 +199,11 @@ class TransferCostCache:
     repeat heavily — context lengths cluster around the workload's
     prompt/output distribution — so the wire time is memoized per byte
     count.  Replicas are identical molds of one engine factory, so a
-    single table serves the whole fleet; the overlap/overhead knobs are
-    fixed at construction (they come from the immutable
-    :class:`~repro.runtime.disagg.DisaggConfig`).
+    single table serves the whole fleet, priced with
+    :data:`KV_TRANSFER_OVERHEAD_S` and :data:`KV_TRANSFER_OVERLAP`.
     """
 
-    def __init__(self, async_overlap: float = 0.0,
-                 software_overhead_s: Optional[float] = None,
-                 max_entries: int = 65536):
-        self.async_overlap = async_overlap
-        self.software_overhead_s = software_overhead_s
+    def __init__(self, max_entries: int = 65536):
         self.max_entries = max_entries
         self._memo: Dict[int, float] = {}
         self.hits = 0
@@ -214,8 +216,8 @@ class TransferCostCache:
             self.misses += 1
             t = transfer.swap_seconds(
                 nbytes,
-                async_overlap=self.async_overlap,
-                software_overhead_s=self.software_overhead_s,
+                async_overlap=KV_TRANSFER_OVERLAP,
+                software_overhead_s=KV_TRANSFER_OVERHEAD_S,
             )
             if len(self._memo) >= self.max_entries:
                 self._memo.clear()

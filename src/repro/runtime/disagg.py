@@ -83,14 +83,9 @@ class DisaggConfig:
     initial engine count; the first ``prefill_replicas`` engines form
     the prefill pool.  ``interval_s`` drives the epoched control loop
     when nothing else (autoscaler / detector / hedge / placement)
-    already does.  ``transfer_overhead_s`` is the flat per-hand-off
-    software cost (launch + transport setup) and ``transfer_overlap``
-    the fraction of wire time hidden behind the receiving replica's
-    compute — both feed the same
-    :meth:`~repro.hardware.memory.TransferModel.swap_seconds` model
-    adapter swap-ins use.  ``pin_prefill_merged`` /
-    ``forbid_decode_merged`` control the per-pool mode pinning
-    (:class:`PhasePinnedPolicy`).  The per-pool autoscale configs are
+    already does.  The hand-off wire cost is priced by
+    :class:`~repro.runtime.costcache.TransferCostCache`.  The per-pool
+    autoscale configs are
     optional — ``None`` leaves that pool at its provisioned size; the
     decode config usually sets
     :attr:`~repro.runtime.autoscaler.AutoscaleConfig.target_utilization`
@@ -100,10 +95,6 @@ class DisaggConfig:
     prefill_replicas: int = 1
     decode_replicas: int = 1
     interval_s: float = 0.5
-    transfer_overhead_s: float = 0.5e-3
-    transfer_overlap: float = 0.0
-    pin_prefill_merged: bool = True
-    forbid_decode_merged: bool = True
     prefill_autoscale: Optional[AutoscaleConfig] = None
     decode_autoscale: Optional[AutoscaleConfig] = None
 
@@ -114,10 +105,6 @@ class DisaggConfig:
             raise ValueError("decode_replicas must be >= 1")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        if self.transfer_overhead_s < 0:
-            raise ValueError("transfer_overhead_s must be >= 0")
-        if not 0.0 <= self.transfer_overlap < 1.0:
-            raise ValueError("transfer_overlap must be in [0, 1)")
 
 
 class PhasePinnedPolicy(SchedulingPolicy):
@@ -166,25 +153,22 @@ class PhasePinnedPolicy(SchedulingPolicy):
         self.base.refresh_credits(requests, ctx)
 
 
-def apply_pool_role(engine: "ServingEngine", role: str,
-                    config: DisaggConfig) -> None:
+def apply_pool_role(engine: "ServingEngine", role: str) -> None:
     """Flip one engine's switches for its pool role.
 
-    Idempotent per engine (the cluster applies it once, at registration
-    or spawn).  Prefill engines hand finished prefills to the cluster's
+    Applied once per engine (the cluster applies it at registration or
+    spawn).  Prefill engines hand finished prefills to the cluster's
     transfer pass instead of decoding them; decode engines allocate
-    local KV for transferred-in sequences.
+    local KV for transferred-in sequences.  Both get their pool's mode
+    pinning (:class:`PhasePinnedPolicy`).
     """
     if role == PREFILL_POOL:
         engine.handoff_after_prefill = True
-        if config.pin_prefill_merged:
-            engine.policy = PhasePinnedPolicy(engine.policy, PREFILL_POOL)
     elif role == DECODE_POOL:
         engine.accepts_kv_transfers = True
-        if config.forbid_decode_merged:
-            engine.policy = PhasePinnedPolicy(engine.policy, DECODE_POOL)
     else:
         raise ValueError(f"unknown pool role {role!r}")
+    engine.policy = PhasePinnedPolicy(engine.policy, role)
 
 
 def kv_transfer_bytes(request, model) -> int:

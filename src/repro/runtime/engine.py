@@ -958,7 +958,9 @@ class ServingEngine:
         for entry in self._pending:
             r = entry[2]
             if r.adapter_id == adapter_id:
-                r.abort(self.clock.now, AbortReason.ADAPTER_UNAVAILABLE)
+                # A future arrival cannot be aborted before it arrives.
+                r.abort(max(self.clock.now, r.arrival_time),
+                        AbortReason.ADAPTER_UNAVAILABLE)
                 self._record_terminal_abort(r)
             else:
                 still_pending.append(entry)

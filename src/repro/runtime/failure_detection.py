@@ -60,6 +60,10 @@ __all__ = [
 #: ln(10): φ is the silence measured in powers of ten of the mean gap.
 _LN10 = math.log(10.0)
 
+#: Observed heartbeat gaps needed before the detector trusts their mean;
+#: until then it assumes the configured cadence.
+MIN_SAMPLES = 3
+
 
 class SuspicionState(enum.Enum):
     """The detector's belief about one replica."""
@@ -90,7 +94,6 @@ class FailureDetectorConfig:
     phi_suspect: float = 2.0
     phi_confirm: float = 8.0
     window: int = 32
-    min_samples: int = 3
     interval_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -102,8 +105,6 @@ class FailureDetectorConfig:
             raise ValueError("phi_confirm must be > phi_suspect")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
 
@@ -131,7 +132,7 @@ class PhiAccrualDetector:
 
     def mean_interval(self) -> float:
         """Expected heartbeat gap (configured cadence until warmed up)."""
-        if len(self._intervals) < self.config.min_samples:
+        if len(self._intervals) < MIN_SAMPLES:
             return self.config.heartbeat_interval_s
         return sum(self._intervals) / len(self._intervals)
 

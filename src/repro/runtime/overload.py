@@ -58,6 +58,32 @@ __all__ = [
     "ReplicaHealth",
 ]
 
+#: Requests below ``PRIORITY_NORMAL`` meet the queue watermark at this
+#: fraction of it, so paid traffic keeps its headroom.
+LOW_PRIORITY_FACTOR = 0.5
+#: Requests at or above this priority bypass the admission bucket and
+#: queue watermarks (never the impossible-deadline check).
+ADMISSION_EXEMPT_PRIORITY = PRIORITY_HIGH
+
+#: Brownout pressure rises above 1 once the KV free fraction drops
+#: below this floor.
+BROWNOUT_KV_LOW = 0.05
+#: Smoothed pressure above which brownout escalates one level ...
+BROWNOUT_ENTER_PRESSURE = 1.0
+#: ... and below which it de-escalates one (the gap is the hysteresis).
+BROWNOUT_EXIT_PRESSURE = 0.6
+#: Minimum simulated seconds between two brownout transitions.
+BROWNOUT_DWELL_S = 0.5
+#: Deepest brownout tier (1 shed, 2 decode cap, 3 forced merge).
+BROWNOUT_MAX_LEVEL = 3
+#: Level 1 sheds only waiting requests below this priority.
+BROWNOUT_SHED_PRIORITY_FLOOR = PRIORITY_NORMAL
+
+#: Each re-open of an adapter breaker multiplies its cooldown by this ...
+BREAKER_COOLDOWN_MULTIPLIER = 2.0
+#: ... up to this ceiling.
+BREAKER_MAX_COOLDOWN_S = 60.0
+
 
 # ---------------------------------------------------------------------------
 # Smoothed pressure signals
@@ -106,14 +132,15 @@ class AdmissionConfig:
     classifications.  ``burst_tokens`` is the bucket capacity (defaults
     to one second of refill).  ``max_queue_depth`` bounds the live
     request count; requests below ``PRIORITY_NORMAL`` are turned away at
-    ``low_priority_factor`` of the watermark so paid traffic keeps its
-    headroom.  ``min_kv_headroom`` rejects arrivals while the free-block
+    :data:`LOW_PRIORITY_FACTOR` of the watermark so paid traffic keeps
+    its headroom.  ``min_kv_headroom`` rejects arrivals while the free-block
     fraction of the KV cache is below the floor.  ``slo_reject`` aborts
     a deadline-carrying request at admission when the deadline is
     already unmeetable at the current queue depth (a lower bound: every
     ``max_batch_size`` requests ahead of it cost at least one
-    iteration).  Requests at or above ``exempt_priority`` bypass the
-    bucket and queue watermarks (never the impossible-deadline check).
+    iteration).  Requests at or above :data:`ADMISSION_EXEMPT_PRIORITY`
+    bypass the bucket and queue watermarks (never the impossible-deadline
+    check).
     """
 
     rate_tokens_per_s: Optional[float] = None
@@ -121,8 +148,6 @@ class AdmissionConfig:
     max_queue_depth: Optional[int] = None
     min_kv_headroom: Optional[float] = None
     slo_reject: bool = False
-    low_priority_factor: float = 0.5
-    exempt_priority: int = PRIORITY_HIGH
 
     def __post_init__(self) -> None:
         if self.rate_tokens_per_s is not None and self.rate_tokens_per_s <= 0:
@@ -134,8 +159,6 @@ class AdmissionConfig:
         if (self.min_kv_headroom is not None
                 and not 0.0 <= self.min_kv_headroom < 1.0):
             raise ValueError("min_kv_headroom must be in [0, 1)")
-        if not 0.0 < self.low_priority_factor <= 1.0:
-            raise ValueError("low_priority_factor must be in (0, 1]")
 
 
 class AdmissionController:
@@ -183,13 +206,13 @@ class AdmissionController:
         """
         cfg = self.config
         self._refill(now)
-        exempt = req.priority >= cfg.exempt_priority
+        exempt = req.priority >= ADMISSION_EXEMPT_PRIORITY
         if not exempt:
             depth_limit = cfg.max_queue_depth
             if depth_limit is not None:
                 if req.priority < PRIORITY_NORMAL:
                     depth_limit = max(
-                        1, int(depth_limit * cfg.low_priority_factor)
+                        1, int(depth_limit * LOW_PRIORITY_FACTOR)
                     )
                 if queue_depth >= depth_limit:
                     return AdmissionVerdict.QUEUE_FULL
@@ -222,46 +245,31 @@ class BrownoutConfig:
     """Knobs for :class:`BrownoutController`.
 
     The pressure signal is ``queue_depth / queue_high``, worsened when
-    KV free space drops below ``kv_low``; it is EWMA-smoothed with
-    ``ewma_alpha`` per engine step.  The controller escalates one level
-    when smoothed pressure exceeds ``enter_pressure`` and de-escalates
-    when it falls below ``exit_pressure``, with at least ``dwell_s``
+    KV free space drops below :data:`BROWNOUT_KV_LOW`; it is
+    EWMA-smoothed with ``ewma_alpha`` per engine step.  The controller
+    escalates one level when smoothed pressure exceeds
+    :data:`BROWNOUT_ENTER_PRESSURE` and de-escalates when it falls below
+    :data:`BROWNOUT_EXIT_PRESSURE`, with at least :data:`BROWNOUT_DWELL_S`
     simulated seconds between transitions (hysteresis: the exit
     threshold sits well under the entry threshold so the system must
     genuinely drain before service is restored).
 
-    Tiers (cumulative):
+    Tiers (cumulative, up to :data:`BROWNOUT_MAX_LEVEL`):
 
-    1. shed waiting requests below ``shed_priority_floor``;
+    1. shed waiting requests below :data:`BROWNOUT_SHED_PRIORITY_FLOOR`;
     2. cap decode lengths at ``decode_cap`` tokens;
     3. force merged execution of the hottest adapter.
     """
 
     queue_high: int = 64
-    kv_low: float = 0.05
-    enter_pressure: float = 1.0
-    exit_pressure: float = 0.6
     ewma_alpha: float = 0.3
-    dwell_s: float = 0.5
-    max_level: int = 3
     decode_cap: int = 32
-    shed_priority_floor: int = PRIORITY_NORMAL
 
     def __post_init__(self) -> None:
         if self.queue_high < 1:
             raise ValueError("queue_high must be >= 1")
-        if not 0.0 <= self.kv_low < 1.0:
-            raise ValueError("kv_low must be in [0, 1)")
-        if self.exit_pressure >= self.enter_pressure:
-            raise ValueError(
-                "exit_pressure must be below enter_pressure (hysteresis)"
-            )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.dwell_s < 0:
-            raise ValueError("dwell_s must be >= 0")
-        if not 1 <= self.max_level <= 3:
-            raise ValueError("max_level must be in [1, 3]")
         if self.decode_cap < 1:
             raise ValueError("decode_cap must be >= 1")
 
@@ -287,18 +295,20 @@ class BrownoutController:
         """Fold one engine-step sample into the signal; returns level."""
         cfg = self.config
         raw = queue_depth / cfg.queue_high
-        if kv_free_frac < cfg.kv_low and cfg.kv_low > 0:
-            raw = max(raw, 1.0 + (cfg.kv_low - kv_free_frac) / cfg.kv_low)
+        if kv_free_frac < BROWNOUT_KV_LOW:
+            raw = max(raw, 1.0 + (BROWNOUT_KV_LOW - kv_free_frac)
+                      / BROWNOUT_KV_LOW)
         self._pressure.observe(raw)
         if self._last_observed is not None and self.level > 0:
             self.time_degraded += max(0.0, now - self._last_observed)
         self._last_observed = now
-        if now - self._last_transition >= cfg.dwell_s:
-            if self.pressure > cfg.enter_pressure and self.level < cfg.max_level:
+        if now - self._last_transition >= BROWNOUT_DWELL_S:
+            if (self.pressure > BROWNOUT_ENTER_PRESSURE
+                    and self.level < BROWNOUT_MAX_LEVEL):
                 self.level += 1
                 self._last_transition = now
                 self.transitions += 1
-            elif self.pressure < cfg.exit_pressure and self.level > 0:
+            elif self.pressure < BROWNOUT_EXIT_PRESSURE and self.level > 0:
                 self.level -= 1
                 self._last_transition = now
                 self.transitions += 1
@@ -308,9 +318,9 @@ class BrownoutController:
                      excess: int) -> List[Request]:
         """Lowest-priority-first victims among waiting requests.
 
-        Level 1 only sheds below ``shed_priority_floor``; deeper levels
-        shed any waiting request, still lowest priority (then youngest)
-        first so high-priority work survives longest.
+        Level 1 only sheds below :data:`BROWNOUT_SHED_PRIORITY_FLOOR`;
+        deeper levels shed any waiting request, still lowest priority
+        (then youngest) first so high-priority work survives longest.
         """
         if excess <= 0 or not waiting:
             return []
@@ -318,7 +328,7 @@ class BrownoutController:
         if self.level <= 1:
             pool = [
                 r for r in pool
-                if r.priority < self.config.shed_priority_floor
+                if r.priority < BROWNOUT_SHED_PRIORITY_FLOOR
             ]
         pool.sort(key=lambda r: (r.priority, -r.arrival_time, -r.request_id))
         return pool[:excess]
@@ -357,25 +367,20 @@ class BreakerConfig:
     ``failure_threshold`` consecutive swap failures open the breaker
     (the engine's quarantine count).  ``cooldown_s=None`` keeps an opened breaker open forever —
     exactly the old permanent quarantine.  With a cooldown, the breaker
-    re-probes (half-open) after ``cooldown_s``, doubling by
-    ``cooldown_multiplier`` on every re-open up to ``max_cooldown_s``;
+    re-probes (half-open) after ``cooldown_s``, scaled by
+    :data:`BREAKER_COOLDOWN_MULTIPLIER` on every re-open up to
+    :data:`BREAKER_MAX_COOLDOWN_S`;
     a single failed probe re-opens, a successful one closes.
     """
 
     failure_threshold: int = 5
     cooldown_s: Optional[float] = None
-    cooldown_multiplier: float = 2.0
-    max_cooldown_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown_s is not None and self.cooldown_s <= 0:
             raise ValueError("cooldown_s must be positive")
-        if self.cooldown_multiplier < 1.0:
-            raise ValueError("cooldown_multiplier must be >= 1")
-        if self.max_cooldown_s <= 0:
-            raise ValueError("max_cooldown_s must be positive")
 
 
 class AdapterBreaker:
@@ -393,10 +398,10 @@ class AdapterBreaker:
         base = self.config.cooldown_s
         if base is None:
             return None
-        scaled = base * self.config.cooldown_multiplier ** max(
+        scaled = base * BREAKER_COOLDOWN_MULTIPLIER ** max(
             0, self.open_count - 1
         )
-        return min(scaled, self.config.max_cooldown_s)
+        return min(scaled, BREAKER_MAX_COOLDOWN_S)
 
     def _maybe_half_open(self, now: float) -> None:
         if self.state is not BreakerState.OPEN:

@@ -52,6 +52,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["PlacementConfig", "AdapterPlacement"]
 
+#: The home is overloaded for the spill decision once its queued decode
+#: rounds exceed ``SPILL_LOAD_FACTOR * fleet_min + SPILL_SLACK_ROUNDS``.
+#: Slack is in decode rounds, the unit dispatch uses for load: 96 rounds
+#: is about one typical in-flight request, not one round.
+SPILL_LOAD_FACTOR = 1.1
+SPILL_SLACK_ROUNDS = 96.0
+#: The (deliberately looser) bar for the *miss* path: a cache-miss
+#: request keeps routing to its hash home, building locality, until the
+#: home exceeds ``MISS_LOAD_FACTOR * fleet_min + MISS_SLACK_ROUNDS``
+#: (about three in-flight requests); then balance wins and the miss goes
+#: to the fleet's least-loaded replica.
+MISS_LOAD_FACTOR = 1.5
+MISS_SLACK_ROUNDS = 448.0
+#: Share of a replica's GPU adapter slots replication may soft-pin.
+MAX_PINS_FRACTION = 0.5
+#: Virtual nodes per replica on the consistent-hash ring.
+VNODES = 64
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -65,35 +83,19 @@ class PlacementConfig:
     from that many ring homes.  ``cold_watermark`` controls demotion:
     a resident adapter whose share decays below it is demoted from GPU
     slots everywhere but its primary home (0.0 disables demotion).
-    ``spill_load_factor`` and ``spill_slack_rounds`` define "overloaded"
-    for the spill decision: the home spills when its queued decode
-    rounds exceed ``factor * fleet_min + slack``.  Slack is measured in
-    decode rounds — the same unit dispatch uses for load — so the
-    defaults correspond to one-or-two typical in-flight requests, not
-    to one-or-two rounds.  ``miss_load_factor``
-    and ``miss_slack_rounds`` define the (deliberately looser) bar for
-    the *miss* path: a cache-miss request keeps routing to its hash
-    home — building locality — until the home exceeds this bar, at
-    which point balance wins and the miss goes to the fleet's
-    least-loaded replica instead.  ``prefetch_top_k``
-    bounds the hot set a newly spawned replica prefetches during
-    warm-up.  ``interval_s`` is the control-epoch length when placement
-    alone drives the epoched loop.  ``max_pins_fraction`` caps how much
-    of a replica's slot budget replication may soft-pin.
+    ``prefetch_top_k`` bounds the hot set a newly spawned replica
+    prefetches during warm-up.  ``interval_s`` is the control-epoch
+    length when placement alone drives the epoched loop.  The spill and
+    miss load bars, the pin cap and the ring's virtual-node count are
+    module constants (:data:`SPILL_LOAD_FACTOR` and friends).
     """
 
     ewma_alpha: float = 0.02
     hot_watermark: float = 0.03
     hot_copies: int = 2
     cold_watermark: float = 0.0
-    spill_load_factor: float = 1.1
-    spill_slack_rounds: float = 96.0
-    miss_load_factor: float = 1.5
-    miss_slack_rounds: float = 448.0
     prefetch_top_k: int = 8
     interval_s: float = 0.5
-    max_pins_fraction: float = 0.5
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -109,22 +111,10 @@ class PlacementConfig:
                 raise ValueError(
                     "cold_watermark must be 0 (off) or < hot_watermark"
                 )
-        if self.spill_load_factor < 1.0:
-            raise ValueError("spill_load_factor must be >= 1")
-        if self.spill_slack_rounds < 0.0:
-            raise ValueError("spill_slack_rounds must be >= 0")
-        if self.miss_load_factor < 1.0:
-            raise ValueError("miss_load_factor must be >= 1")
-        if self.miss_slack_rounds < 0.0:
-            raise ValueError("miss_slack_rounds must be >= 0")
         if self.prefetch_top_k < 0:
             raise ValueError("prefetch_top_k must be >= 0")
         if self.interval_s <= 0.0:
             raise ValueError("interval_s must be positive")
-        if not 0.0 < self.max_pins_fraction <= 1.0:
-            raise ValueError("max_pins_fraction must be in (0, 1]")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
 
 
 def _hash32(key: str) -> int:
@@ -258,7 +248,7 @@ class AdapterPlacement:
         if self._ring is None:
             points = []
             for rid in self._engines:
-                for v in range(self.config.vnodes):
+                for v in range(VNODES):
                     points.append((_hash32(f"{rid}#{v}"), rid))
             points.sort()
             self._ring = points
@@ -385,8 +375,7 @@ class AdapterPlacement:
              if adapter_id in self._replicated else 1)
         homes = [rid for rid in self.homes(adapter_id, k) if rid in loads]
         fleet_min = min(loads.values())
-        bar = (self.config.spill_load_factor * fleet_min
-               + self.config.spill_slack_rounds)
+        bar = SPILL_LOAD_FACTOR * fleet_min + SPILL_SLACK_ROUNDS
         holders = sorted(
             (rid for rid in self.holders(adapter_id) if rid in loads),
             key=lambda rid: (loads[rid], rid),
@@ -406,8 +395,7 @@ class AdapterPlacement:
             if why == "spill-hit":
                 self.spills += 1
         if chosen is None and homes:
-            miss_bar = (self.config.miss_load_factor * fleet_min
-                        + self.config.miss_slack_rounds)
+            miss_bar = MISS_LOAD_FACTOR * fleet_min + MISS_SLACK_ROUNDS
             best_home = min(homes, key=lambda rid: (loads[rid], rid))
             if loads[best_home] <= miss_bar:
                 chosen = best_home
@@ -456,7 +444,7 @@ class AdapterPlacement:
                 if engine is None:
                     continue
                 cap = max(1, int(engine.adapters.gpu_slots
-                                 * cfg.max_pins_fraction))
+                                 * MAX_PINS_FRACTION))
                 if len(want[rid]) < cap:
                     want[rid].add(adapter_id)
         for rid, engine in self._engines.items():

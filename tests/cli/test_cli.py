@@ -76,6 +76,27 @@ class TestServe:
         assert rc == 2
         assert "fault rates" in capsys.readouterr().err
 
+    def test_negative_scale_stall_rate_rejected(self, capsys):
+        rc = main(["serve", "--rate", "2", "--duration", "4",
+                   "--scale-stall-rate", "-1"])
+        assert rc == 2
+        assert "fault rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--adapters", "0"],
+        ["--rate", "-3"],
+        ["--duration", "-1"],
+        ["--skew", "1.5"],
+        ["--workload", "diurnal", "--trough", "-2"],
+        ["--workload", "diurnal", "--period", "0"],
+    ], ids=["adapters", "rate", "duration", "skew", "trough", "period"])
+    def test_bad_workload_or_builder_flag_is_an_error_not_a_traceback(
+            self, flags, capsys):
+        rc = main(["serve", "--rate", "2", "--duration", "4", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+
     def test_give_up_after_bounds_single_gpu_run(self, capsys):
         rc = main(["serve", "--rate", "8", "--duration", "3",
                    "--adapters", "2", "--json", "--give-up-after", "0.05"])

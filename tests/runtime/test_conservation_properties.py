@@ -6,19 +6,25 @@ counted — regardless of dispatch policy, injected faults, or replica
 lifecycle churn (spawn / drain / fail mid-drain).
 
 Hypothesis drives randomized traces through every dispatch policy ×
-fault menu combination (200+ cases per full run); deterministic tests
+fault menu combination (200+ cases per full run) and through any subset
+of the fleet features under random fault schedules; deterministic tests
 pin down the lifecycle corners randomness can't reliably reach
-(mid-drain failover, drain-requeue accounting vs. the failover budget).
+(mid-drain failover, drain-requeue accounting vs. the failover budget,
+hedge copies meeting on one engine).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import SystemBuilder
+import repro.runtime.autoscaler as autoscaler_mod
+import repro.runtime.placement as placement_mod
 from repro.runtime import (
     AutoscaleConfig,
     Autoscaler,
@@ -27,6 +33,9 @@ from repro.runtime import (
     FaultInjector,
     FaultKind,
     FaultSpec,
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
     MultiGPUServer,
     Request,
     RequestStatus,
@@ -65,14 +74,14 @@ _BUILDER = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8,
 
 
 @st.composite
-def traces(draw):
+def traces(draw, max_requests=14, horizon_s=3.0):
     """A bounded random request trace (1..14 requests over ~3s)."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_requests))
     reqs = []
     for _ in range(n):
         reqs.append(Request(
             adapter_id=draw(st.sampled_from(ADAPTER_IDS)),
-            arrival_time=draw(st.floats(0.0, 3.0)),
+            arrival_time=draw(st.floats(0.0, horizon_s)),
             input_tokens=draw(st.integers(1, 256)),
             output_tokens=draw(st.integers(1, 16)),
             use_task_head=False,
@@ -100,6 +109,11 @@ def assert_exactly_once_terminal(requests, metrics):
     for rec in metrics.records:
         assert rec.finish_time >= rec.arrival_time
         assert math.isfinite(rec.latency) and rec.latency >= 0.0
+
+
+def _fast_scale_up():
+    """The chaos suites scale up every control epoch they need to."""
+    return mock.patch.object(autoscaler_mod, "UP_COOLDOWN_S", 0.25)
 
 
 def _fresh_cluster(dispatch, faults, num_gpus=2, **kwargs):
@@ -150,14 +164,14 @@ def test_autoscaled_cluster_exactly_once_under_chaos(requests, seed):
     scaler = Autoscaler(AutoscaleConfig(
         min_replicas=1, max_replicas=3, interval_s=0.25,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
-        spinup_s=0.1, drain_timeout_s=2.0,
+        down_cooldown_s=0.5, spinup_s=0.1, drain_timeout_s=2.0,
     ))
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), 1, autoscaler=scaler,
     )
     server.submit(requests)
-    metrics = server.run()
+    with _fast_scale_up():
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
     # GPU-seconds accounting covers every replica that ever existed:
@@ -372,12 +386,15 @@ def test_locality_cluster_exactly_once(menu, requests):
     reset_request_ids()
     placement = AdapterPlacement(PlacementConfig(
         hot_watermark=0.2, hot_copies=2, cold_watermark=0.05,
-        spill_load_factor=1.0, spill_slack_rounds=2.0, interval_s=0.25,
+        interval_s=0.25,
     ))
     server = _fresh_cluster("locality", FAULT_MENUS[menu],
                             max_requeues=4, placement=placement)
     server.submit(requests)
-    metrics = server.run()
+    # A hair-trigger spill bar: spills on almost every dispatch.
+    with mock.patch.object(placement_mod, "SPILL_LOAD_FACTOR", 1.0), \
+            mock.patch.object(placement_mod, "SPILL_SLACK_ROUNDS", 2.0):
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
 
@@ -405,8 +422,7 @@ def test_locality_autoscaled_exactly_once_under_chaos(requests, seed):
     scaler = Autoscaler(AutoscaleConfig(
         min_replicas=1, max_replicas=3, interval_s=0.25,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
-        spinup_s=0.1, drain_timeout_s=2.0,
+        down_cooldown_s=0.5, spinup_s=0.1, drain_timeout_s=2.0,
     ))
     placement = AdapterPlacement(PlacementConfig(
         hot_watermark=0.2, hot_copies=2, interval_s=0.25,
@@ -417,7 +433,8 @@ def test_locality_autoscaled_exactly_once_under_chaos(requests, seed):
         autoscaler=scaler, placement=placement,
     )
     server.submit(requests)
-    metrics = server.run()
+    with _fast_scale_up():
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
     assert metrics.replicas_spawned == len(server.replicas) - 1
@@ -584,20 +601,19 @@ def test_disagg_autoscaled_exactly_once_under_chaos(requests, seed):
     scale = AutoscaleConfig(
         min_replicas=1, max_replicas=2, interval_s=0.25,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
-        spinup_s=0.1, drain_timeout_s=2.0,
+        down_cooldown_s=0.5, spinup_s=0.1, drain_timeout_s=2.0,
     )
-    import dataclasses as _dc
     disagg = DisaggConfig(
         prefill_replicas=1, decode_replicas=1,
         prefill_autoscale=scale,
-        decode_autoscale=_dc.replace(scale, target_utilization=0.6),
+        decode_autoscale=dataclasses.replace(scale, target_utilization=0.6),
     )
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), 2, disagg=disagg,
     )
     server.submit(requests)
-    metrics = server.run()
+    with _fast_scale_up():
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
 
@@ -627,3 +643,260 @@ def test_drain_rehoming_never_spends_retry_budget():
     assert budget.spent == 0, "drain re-home spent retry-budget tokens"
     assert budget.exhausted == 0
     assert metrics.num_aborted == 0
+
+
+# -- all-features fuzz: any subset of the fleet features ----------------------
+
+#: Every feature a cluster can switch on; the fuzz draws any subset.
+FEATURES = ("admission", "brownout", "breaker", "retry_budget", "hedge",
+            "detector", "locality", "disagg", "autoscale")
+FAULT_RATES = ("swap_fail_rate", "swap_slow_rate", "kv_pressure_rate",
+               "engine_slow_rate", "engine_fail_rate", "scale_stall_rate",
+               "partition_rate", "heartbeat_loss_rate", "host_fail_rate")
+
+
+@st.composite
+def fleets(draw, max_requests=14, horizon_s=3.0):
+    """(features, pool sizes, fault rates, fault seed, trace) of one run.
+
+    A disaggregated fleet has a prefill and a decode pool (and scales
+    per pool); any other fleet is one pool, of at least two replicas
+    when hedging or locality needs a second one to route to.
+    """
+    features = draw(st.sets(st.sampled_from(FEATURES)))
+    if "disagg" in features:
+        pools = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    else:
+        low = 2 if features & {"hedge", "locality"} else 1
+        pools = (draw(st.integers(low, 3)),)
+    rates = {k: draw(st.sampled_from((0.0, 0.05, 0.2))) for k in FAULT_RATES}
+    seed = draw(st.integers(0, 31))
+    requests = draw(traces(max_requests, horizon_s))
+    for r in requests:
+        r.priority = draw(st.sampled_from(
+            (PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH)))
+    return features, pools, rates, seed, requests
+
+
+def _fuzz_cluster(features, pools, rates, seed, horizon_s):
+    from repro.runtime import (
+        AdapterPlacement,
+        AdmissionConfig,
+        BreakerConfig,
+        BrownoutConfig,
+        DisaggConfig,
+        HedgeConfig,
+        PlacementConfig,
+        RetryBudget,
+        TimeoutPolicy,
+    )
+
+    num_hosts = 2 if rates["host_fail_rate"] else 0
+    injector = FaultInjector.random(
+        horizon_s=4 * horizon_s, seed=seed, adapter_ids=ADAPTER_IDS,
+        engine_ids=tuple(f"gpu-{i}" for i in range(6)),
+        host_ids=tuple(f"host-{i}" for i in range(num_hosts)), **rates,
+    )
+    builder = SystemBuilder(
+        num_adapters=len(ADAPTER_IDS), max_batch_size=8,
+        gpu_adapter_slots=2, deadline_slo_factor=4.0,
+        fault_injector=injector,
+        admission=(AdmissionConfig(max_queue_depth=6,
+                                   rate_tokens_per_s=4000.0)
+                   if "admission" in features else None),
+        brownout=(BrownoutConfig(queue_high=4)
+                  if "brownout" in features else None),
+        breaker=(BreakerConfig(failure_threshold=2, cooldown_s=0.3)
+                 if "breaker" in features else None),
+    )
+    kwargs = dict(max_requeues=4, num_hosts=num_hosts)
+    scale = None
+    if "autoscale" in features:
+        scale = AutoscaleConfig(
+            min_replicas=1, max_replicas=3, interval_s=0.25,
+            target_queue_per_replica=2.0, down_fraction=0.7,
+            down_cooldown_s=0.5, spinup_s=0.1, drain_timeout_s=2.0,
+        )
+    if "disagg" in features:
+        kwargs["disagg"] = DisaggConfig(
+            prefill_replicas=pools[0], decode_replicas=pools[1],
+            prefill_autoscale=scale,
+            decode_autoscale=(
+                dataclasses.replace(scale, target_utilization=0.6)
+                if scale is not None else None),
+        )
+    elif scale is not None:
+        kwargs["autoscaler"] = Autoscaler(scale)
+    if "retry_budget" in features:
+        kwargs["retry_budget"] = RetryBudget()
+    if "hedge" in features:
+        kwargs["hedge"] = HedgeConfig(min_observations=4, window=32)
+        kwargs["timeout_policy"] = TimeoutPolicy(hedge_after_s=0.25)
+    if "detector" in features:
+        kwargs["detector"] = FailureDetector(FailureDetectorConfig(
+            phi_suspect=1.0, phi_confirm=3.0))
+    dispatch = "least-loaded"
+    if "locality" in features:
+        dispatch = "locality"
+        kwargs["placement"] = AdapterPlacement(PlacementConfig(
+            hot_watermark=0.2, hot_copies=2, interval_s=0.25,
+            prefetch_top_k=2,
+        ))
+    return MultiGPUServer.replicate(
+        lambda: builder.build("v-lora"), sum(pools), dispatch=dispatch,
+        **kwargs,
+    )
+
+
+def _check_fleet_run(fleet, horizon_s):
+    features, pools, rates, seed, requests = fleet
+    reset_request_ids()
+    server = _fuzz_cluster(features, pools, rates, seed, horizon_s)
+    server.submit(requests)
+    metrics = server.run()
+    assert_exactly_once_terminal(requests, metrics)
+    assert server._undispatched == []
+    for rep in server.replicas:
+        rep.engine.kv.check_invariants()
+    for rec in metrics.records:
+        assert rec.arrival_time <= rec.first_token_time
+        assert rec.arrival_time <= rec.finish_time
+        if "disagg" not in features:
+            # Known defect, pinned by the strict xfail
+            # test_disagg_decode_never_finishes_before_first_token.
+            assert rec.first_token_time <= rec.finish_time
+    for ab in metrics.aborts:
+        assert ab.arrival_time <= ab.abort_time
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fleet=fleets())
+def test_any_feature_subset_exactly_once(fleet):
+    """Any subset of the nine fleet features under any random fault
+    schedule: one terminal per request, KV blocks conserved on every
+    engine, and arrival <= first token <= finish (or abort)."""
+    _check_fleet_run(fleet, horizon_s=3.0)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fleet=fleets(max_requests=48, horizon_s=10.0))
+def test_any_feature_subset_exactly_once_long_trace(fleet):
+    """The same property over longer traces: more lifecycle churn, more
+    requeues, and fault windows that overlap the whole run."""
+    _check_fleet_run(fleet, horizon_s=10.0)
+
+
+# -- what the fuzz found ------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a hand-off leaves the prefill replica at the epoch "
+    "boundary even when its prefill iteration ran past it; the fix moves "
+    "the disagg golden digest"))
+def test_disagg_decode_never_finishes_before_first_token():
+    """The decode replica must not start a hand-off before the prefill
+    that produced its first token has finished."""
+    reset_request_ids()
+    server = _disagg_cluster()
+    # Arrives on an epoch boundary: its prefill runs past that boundary.
+    requests = [Request(adapter_id=ADAPTER_IDS[0], arrival_time=1.0,
+                        input_tokens=1, output_tokens=2,
+                        use_task_head=False)]
+    server.submit(requests)
+    (rec,) = server.run().records
+    assert rec.first_token_time <= rec.finish_time
+
+
+def test_hedge_copies_never_share_an_engine():
+    """An engine keys live requests by id, so a twin whose only decode
+    target runs its original waits in the prefill outbox until the
+    original settles, instead of replacing it there (which lost the
+    original's terminal, or the whole request once the twin's host
+    died)."""
+    from repro.runtime import HedgeConfig, TimeoutPolicy
+
+    faults = (
+        FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=10.0,
+                  magnitude=8.0, target="gpu-1"),
+    )
+    reset_request_ids()
+    # One slow decode replica: every twin re-prefills on gpu-0 and its
+    # only decode target is the replica running its original.
+    server = _disagg_cluster(
+        faults, prefill=1, decode=1,
+        hedge=HedgeConfig(min_observations=4, window=32),
+        timeout_policy=TimeoutPolicy(hedge_after_s=0.2),
+    )
+    requests = [
+        Request(adapter_id=ADAPTER_IDS[i % len(ADAPTER_IDS)],
+                arrival_time=i * 0.01, input_tokens=64, output_tokens=12)
+        for i in range(16)
+    ]
+    server.submit(requests)
+    metrics = server.run()
+    assert metrics.hedges_fired >= 1
+    assert metrics.hedge_losses == metrics.hedges_fired
+    assert_exactly_once_terminal(requests, metrics)
+
+
+def test_requeued_original_never_joins_its_twin():
+    """An original orphaned off a dead straggler while its twin runs on
+    the only survivor waits in the queue for the twin to settle (joining
+    it there allocated the same KV sequence twice and crashed)."""
+    from repro.runtime import HedgeConfig, TimeoutPolicy
+
+    faults = (
+        FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=10.0,
+                  magnitude=10.0, target="gpu-0"),
+        FaultSpec(FaultKind.ENGINE_FAIL, start=1.0, target="gpu-0"),
+    )
+    reset_request_ids()
+    server = _fresh_cluster(
+        "least-loaded", faults,
+        hedge=HedgeConfig(min_observations=4, window=32),
+        timeout_policy=TimeoutPolicy(hedge_after_s=0.2),
+    )
+    requests = _long_requests(16, output_tokens=64)
+    server.submit(requests)
+    metrics = server.run()
+    assert metrics.hedges_fired >= 1
+    assert metrics.failover_events >= 1
+    assert metrics.hedge_losses == metrics.hedges_fired
+    assert_exactly_once_terminal(requests, metrics)
+
+
+def test_cluster_abort_fences_the_running_twin():
+    """An original orphaned off a dead straggler that the cluster aborts
+    (here: the retry budget is spent) while its twin still runs on the
+    survivor is the request's one terminal; the twin's later finish is
+    a lost race (it used to be recorded as a second terminal)."""
+    from repro.runtime import (
+        HedgeConfig,
+        RetryBudget,
+        RetryBudgetConfig,
+        TimeoutPolicy,
+    )
+
+    faults = (
+        FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=10.0,
+                  magnitude=10.0, target="gpu-0"),
+        FaultSpec(FaultKind.ENGINE_FAIL, start=1.0, target="gpu-0"),
+    )
+    reset_request_ids()
+    server = _fresh_cluster(
+        "least-loaded", faults,
+        hedge=HedgeConfig(min_observations=4, window=32),
+        timeout_policy=TimeoutPolicy(hedge_after_s=0.2),
+        retry_budget=RetryBudget(RetryBudgetConfig(initial=5.0,
+                                                   ratio=0.01)),
+    )
+    requests = _long_requests(16, output_tokens=64)
+    server.submit(requests)
+    metrics = server.run()
+    assert metrics.hedges_fired >= 1
+    assert metrics.retry_budget_exhausted >= 1
+    assert metrics.hedge_losses == metrics.hedges_fired
+    assert_exactly_once_terminal(requests, metrics)

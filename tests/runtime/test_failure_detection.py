@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro.runtime.failure_detection as failure_detection
 from repro.core import SystemBuilder
 from repro.runtime import (
     FailureDetector,
@@ -71,7 +72,7 @@ class TestPhiAccrual:
         assert det.phi(HB * math.log(10.0)) == pytest.approx(1.0)
 
     def test_mean_warms_up_from_configured_cadence(self):
-        cfg = FailureDetectorConfig(min_samples=3)
+        cfg = FailureDetectorConfig()  # MIN_SAMPLES = 3
         det = PhiAccrualDetector(cfg, registered_at=0.0)
         det.heartbeat(1.0)
         det.heartbeat(2.0)
@@ -87,11 +88,13 @@ class TestPhiAccrual:
         assert det.last_heartbeat == 1.0
         assert len(det._intervals) == 1
 
-    def test_late_in_order_delivery_reconstructs_history(self):
+    def test_late_in_order_delivery_reconstructs_history(self,
+                                                         monkeypatch):
         # Withheld-then-healed heartbeats arrive with their original
         # timestamps; delivering them in order must not leave one giant
         # interval in the window.
-        det = PhiAccrualDetector(FailureDetectorConfig(min_samples=1),
+        monkeypatch.setattr(failure_detection, "MIN_SAMPLES", 1)
+        det = PhiAccrualDetector(FailureDetectorConfig(),
                                  registered_at=0.0)
         for t in (HB, 2 * HB, 3 * HB, 4 * HB):
             det.heartbeat(t)

@@ -336,6 +336,8 @@ class TestSwapFaults:
         engine.submit(early + late + filler)
         engine.run()
         assert all(r.status is RequestStatus.ABORTED for r in early + late)
+        # Aborted at its arrival, never before it.
+        assert late[0].abort_time == late[0].arrival_time
 
     def test_swap_slowdown_inflates_stall(self):
         slow = [FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, 0.0, math.inf,

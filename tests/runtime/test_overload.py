@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import repro.runtime.overload as overload
 from repro.core import SystemBuilder
 from repro.runtime import (
     PRIORITY_HIGH,
@@ -81,9 +82,8 @@ class TestAdmissionController:
                 is AdmissionVerdict.QUEUE_FULL)
 
     def test_low_priority_gets_a_lower_watermark(self):
-        ctl = AdmissionController(AdmissionConfig(
-            max_queue_depth=8, low_priority_factor=0.5,
-        ))
+        # LOW_PRIORITY_FACTOR (0.5) halves the watermark to 4.
+        ctl = AdmissionController(AdmissionConfig(max_queue_depth=8))
         low = req(priority=PRIORITY_LOW)
         assert (self.evaluate(ctl, low, queue=4)
                 is AdmissionVerdict.QUEUE_FULL)
@@ -119,8 +119,6 @@ class TestAdmissionController:
             AdmissionConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             AdmissionConfig(min_kv_headroom=1.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(low_priority_factor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,10 @@ class TestAdmissionController:
 # ---------------------------------------------------------------------------
 
 class TestBrownoutController:
-    def test_escalates_and_recovers_with_hysteresis(self):
+    def test_escalates_and_recovers_with_hysteresis(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.1)
         ctl = BrownoutController(BrownoutConfig(
-            queue_high=10, dwell_s=0.1, ewma_alpha=1.0,
+            queue_high=10, ewma_alpha=1.0,
         ))
         assert ctl.observe(0.0, 30, 1.0) == 1
         # Dwell time not elapsed: no second escalation yet.
@@ -145,9 +144,10 @@ class TestBrownoutController:
 
     def test_kv_scarcity_adds_pressure(self):
         ctl = BrownoutController(BrownoutConfig(
-            queue_high=100, kv_low=0.1, ewma_alpha=1.0, dwell_s=0.0,
+            queue_high=100, ewma_alpha=1.0,
         ))
-        # Queue alone is negligible, but KV is nearly exhausted.
+        # Queue alone is negligible, but KV is nearly exhausted (1% free,
+        # under BROWNOUT_KV_LOW).
         assert ctl.observe(0.0, 1, 0.01) >= 1
 
     def test_level1_sheds_only_below_priority_floor(self):
@@ -178,10 +178,12 @@ class TestBrownoutController:
         assert ctl.decode_cap == 16 and ctl.force_merged
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            BrownoutConfig(enter_pressure=0.5, exit_pressure=0.5)
         with pytest.raises(ValueError):
-            BrownoutConfig(max_level=4)
+            BrownoutConfig(queue_high=0)
+        with pytest.raises(ValueError):
+            BrownoutConfig(ewma_alpha=0.0)
+        with pytest.raises(ValueError):
+            BrownoutConfig(decode_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +219,9 @@ class TestAdapterBreaker:
         assert b.state is BreakerState.CLOSED
 
     def test_failed_probe_reopens_with_escalated_cooldown(self):
+        # BREAKER_COOLDOWN_MULTIPLIER (2) doubles each re-open.
         b = AdapterBreaker("lora-0", BreakerConfig(
-            failure_threshold=1, cooldown_s=0.5, cooldown_multiplier=2.0,
+            failure_threshold=1, cooldown_s=0.5,
         ))
         b.record_failure(0.0)
         b.record_failure(0.1)      # open #1 at 0.1 (cooldown 0.5)
@@ -312,10 +315,19 @@ class TestEngineBrownout:
         engine.submit(reqs)
         return reqs, engine.run()
 
-    def test_level1_sheds_low_priority(self):
+    @pytest.fixture
+    def level1_only(self, monkeypatch):
+        """Brownout escalates once, then holds there."""
+        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 1)
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 10.0)
+
+    @pytest.fixture
+    def fast_dwell(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.01)
+
+    def test_level1_sheds_low_priority(self, level1_only):
         reqs, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=10.0, max_level=1),
-            priority=PRIORITY_LOW,
+            BrownoutConfig(queue_high=8), priority=PRIORITY_LOW,
         )
         assert metrics.brownout_sheds > 0
         shed = [r for r in reqs
@@ -324,30 +336,27 @@ class TestEngineBrownout:
         assert all(r.priority == PRIORITY_LOW for r in shed)
         assert metrics.num_completed + metrics.num_aborted == len(reqs)
 
-    def test_level1_spares_normal_priority(self):
-        _, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=10.0, max_level=1),
-        )
+    def test_level1_spares_normal_priority(self, level1_only):
+        _, metrics = self._flood(BrownoutConfig(queue_high=8))
         assert metrics.brownout_sheds == 0
         assert metrics.brownout_transitions > 0
 
-    def test_level2_caps_decode_lengths(self):
+    def test_level2_caps_decode_lengths(self, fast_dwell, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 2)
         reqs, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=0.01, max_level=2,
-                           decode_cap=4),
+            BrownoutConfig(queue_high=8, decode_cap=4),
         )
         assert metrics.brownout_truncations > 0
         truncated = [r for r in reqs if r.status is RequestStatus.FINISHED
                      and r.generated < r.output_tokens]
         assert truncated
 
-    def test_level3_forces_merged_mode(self):
+    def test_level3_forces_merged_mode(self, fast_dwell):
         # unmerge-only's policy never picks MERGED itself, so any merged
         # iteration under flood must come from the brownout override.
         builder = SystemBuilder(
             num_adapters=4,
-            brownout=BrownoutConfig(queue_high=8, dwell_s=0.01,
-                                    max_level=3, decode_cap=4),
+            brownout=BrownoutConfig(queue_high=8, decode_cap=4),
         )
         engine = builder.build("unmerge-only")
         engine.submit(burst(builder.adapter_ids, n=80, output_tokens=64))

@@ -18,6 +18,7 @@ from repro.runtime import (
     Request,
     reset_request_ids,
 )
+import repro.runtime.placement as placement_mod
 from repro.runtime.autoscaler import estimate_cold_start_s
 from repro.workloads import RetrievalWorkload
 from repro.workloads.skew import zipf_shares
@@ -56,14 +57,10 @@ class TestPlacementConfig:
         dict(hot_copies=0),
         dict(cold_watermark=-0.1),
         dict(cold_watermark=0.5),     # >= hot_watermark
-        dict(spill_load_factor=0.5),
-        dict(spill_slack_rounds=-1.0),
-        dict(miss_load_factor=0.5),
-        dict(miss_slack_rounds=-1.0),
-        dict(prefetch_top_k=-1),
-        dict(interval_s=0.0),
-        dict(max_pins_fraction=0.0),
-        dict(vnodes=0),
+        # Explicit ids keep these cases' names stable across edits to the
+        # list above them.
+        pytest.param(dict(prefetch_top_k=-1), id="kw10"),
+        pytest.param(dict(interval_s=0.0), id="kw11"),
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -205,10 +202,10 @@ class TestDecide:
         chosen, why = placement.decide("lora-0", loads)
         assert chosen == home and why == "home-hit"
 
-    def test_spill_to_resident_holder(self):
-        cfg = PlacementConfig(spill_load_factor=1.0,
-                              spill_slack_rounds=0.0)
-        _, placement, _ = _fleet(config=cfg)
+    def test_spill_to_resident_holder(self, monkeypatch):
+        monkeypatch.setattr(placement_mod, "SPILL_LOAD_FACTOR", 1.0)
+        monkeypatch.setattr(placement_mod, "SPILL_SLACK_ROUNDS", 0.0)
+        _, placement, _ = _fleet()
         home = placement.homes("lora-0", 1)[0]
         other = next(r for r in ("gpu-0", "gpu-1", "gpu-2") if r != home)
         placement._resident[home]["lora-0"] = 1
@@ -313,14 +310,14 @@ class TestRebalance:
         assert stats["demotions"] >= 1
 
     def test_pin_cap_respected(self):
-        cfg = PlacementConfig(hot_watermark=0.05, hot_copies=3,
-                              max_pins_fraction=0.5)
+        cfg = PlacementConfig(hot_watermark=0.05, hot_copies=3)
         _, placement, engines = _fleet(config=cfg, gpu_adapter_slots=4)
         for i in range(1000):
             placement.observe(f"lora-{i % 8}")
         placement.rebalance()
         for e in engines:
-            assert len(e.adapters.pinned) <= 2  # 0.5 * 4 slots
+            # MAX_PINS_FRACTION (0.5) of 4 slots.
+            assert len(e.adapters.pinned) <= 2
 
 
 # -- engine-side hooks --------------------------------------------------------
