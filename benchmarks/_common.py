@@ -6,7 +6,20 @@ import json
 import pathlib
 from typing import Dict, Sequence
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "results"
+
+
+def bench_record_path(name: str, full_scale: bool) -> pathlib.Path:
+    """Where a standalone bench writes its ``BENCH_<name>`` record.
+
+    Full-scale runs write the committed ``BENCH_<name>.json`` at the
+    repo root; reduced-scale runs (CI smokes) write the git-ignored
+    sibling ``BENCH_<name>.small.json``, so they never overwrite the
+    full-scale record.
+    """
+    suffix = "" if full_scale else ".small"
+    return REPO_ROOT / f"BENCH_{name}{suffix}.json"
 
 
 class ResultSink:

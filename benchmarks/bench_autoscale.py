@@ -18,11 +18,13 @@ replica is up the whole run); the autoscaled cluster reports its exact
 per-replica spawn-to-retire lifetimes via ``gpu_seconds_total``.
 
 Standalone mode (``python benchmarks/bench_autoscale.py [--small]``)
-writes ``BENCH_autoscale.json`` and exits non-zero when the efficiency
-or SLO contract breaks (CI perf smoke).
+writes ``BENCH_autoscale.json`` (``BENCH_autoscale.small.json`` under
+``--small``) and exits non-zero when the efficiency or SLO contract
+breaks (CI perf smoke).
 """
 
 from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import bench_record_path
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -189,11 +191,12 @@ def main() -> int:
 
     scale = 0.5 if "--small" in sys.argv[1:] else 1.0
     payload = run_autoscale_vs_static(scale=scale)
-    with open("BENCH_autoscale.json", "w") as fh:
+    out_path = bench_record_path("autoscale", full_scale=scale >= 1.0)
+    with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     print(json.dumps({k: v for k, v in payload.items()
                       if k != "scale_events"}, indent=1, sort_keys=True))
-    print("wrote BENCH_autoscale.json")
+    print(f"wrote {out_path}")
     failures = []
     if scale >= 1.0:
         try:

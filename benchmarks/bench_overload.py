@@ -18,13 +18,15 @@ probed after the cooldown, and must serve traffic again afterwards —
 the legacy permanent quarantine would strand it forever.
 
 Standalone mode (``python benchmarks/bench_overload.py [--small]``)
-writes ``BENCH_overload.json`` and exits non-zero when the protected
-engine's goodput collapses (CI chaos smoke).
+writes ``BENCH_overload.json`` (``BENCH_overload.small.json`` under
+``--small``) and exits non-zero when the protected engine's goodput
+collapses (CI chaos smoke).
 """
 
 import numpy as np
 
 from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import bench_record_path
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -233,10 +235,11 @@ def main() -> int:
         "burst": run_burst(scale=scale),
         "breaker": run_breaker_recovery(scale=scale),
     }
-    with open("BENCH_overload.json", "w") as fh:
+    out_path = bench_record_path("overload", full_scale=scale >= 1.0)
+    with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_overload.json")
+    print(f"wrote {out_path}")
     failures = []
     if payload["burst"]["protected"]["goodput_burst_rps"] <= 0:
         failures.append("protected goodput collapsed to zero")

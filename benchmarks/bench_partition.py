@@ -17,12 +17,13 @@ hold **exactly-once delivery**: no request may ever reach two terminal
 states, no matter how aggressively the detector confirms.
 
 Standalone mode (``python benchmarks/bench_partition.py [--small]``)
-writes ``BENCH_partition.json`` and exits non-zero when any swept
-threshold produces a duplicate terminal or the frontier inverts
-(CI chaos smoke).
+writes ``BENCH_partition.json`` (``BENCH_partition.small.json`` under
+``--small``) and exits non-zero when any swept threshold produces a
+duplicate terminal or the frontier inverts (CI chaos smoke).
 """
 
 from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import bench_record_path
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -175,10 +176,11 @@ def main() -> int:
 
     scale = 0.5 if "--small" in sys.argv[1:] else 1.0
     payload = run_phi_sweep(scale=scale)
-    with open("BENCH_partition.json", "w") as fh:
+    out_path = bench_record_path("partition", full_scale=scale >= 1.0)
+    with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_partition.json")
+    print(f"wrote {out_path}")
     try:
         _check(payload)
     except AssertionError as exc:

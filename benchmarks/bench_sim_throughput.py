@@ -23,8 +23,10 @@ million-request traces:
   ``materialize_records=False`` — headline numbers come from
   :meth:`array_summary`, no per-request Python objects anywhere.
 
-Results land in ``BENCH_sim_throughput.json`` at the repo root (plus
-``results/sim_throughput.json`` when run under pytest).  Scale knobs:
+Results land in ``BENCH_sim_throughput.json`` at the repo root at full
+scale, and in the git-ignored ``BENCH_sim_throughput.small.json`` below
+it (plus ``results/sim_throughput.json`` when run under pytest).  Scale
+knobs:
 
 * script: ``python benchmarks/bench_sim_throughput.py [num_requests]``
   (default 50000 — the acceptance configuration, a few minutes of
@@ -46,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+from _common import bench_record_path
 from _legacy_engine import SeedServingEngine
 
 from repro.analysis.sweep import SweepRunner
@@ -54,8 +57,7 @@ from repro.runtime.request import Request, reset_request_ids
 from repro.runtime.soa_core import SoAServingEngine
 from repro.workloads.retrieval import RetrievalWorkload
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUT_PATH = REPO_ROOT / "BENCH_sim_throughput.json"
+OUT_PATH = bench_record_path("sim_throughput", full_scale=True)
 
 FULL_SCALE_REQUESTS = 50_000
 #: ~1.5x the 8-adapter v-lora capacity (~8 rps): the backlog grows for
@@ -284,9 +286,10 @@ def run_bench(num_requests: int,
             duration_s=150.0 if full_scale else SWEEP_DURATION_S
         ),
     }
+    out_path = bench_record_path("sim_throughput", full_scale)
     if ten_million:
         payload["engine_10m"] = run_ten_million_bench()
-    elif OUT_PATH.exists():
+    elif full_scale and OUT_PATH.exists():
         # Keep the last recorded 10M leg: it's opt-in (tens of minutes)
         # and dropping it on every small rerun would lose the record.
         try:
@@ -295,7 +298,7 @@ def run_bench(num_requests: int,
                 payload["engine_10m"] = prior["engine_10m"]
         except (ValueError, OSError):
             pass
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
@@ -329,7 +332,8 @@ def _print_payload(payload: Dict[str, object]) -> None:
               f"(+{ten['submit_wall_seconds']:.1f}s submit), "
               f"{ten['sim_requests_per_sec']:.0f} sim req/s, "
               f"rss <= {ten['peak_rss_mb']:.0f} MiB")
-    print(f"wrote {OUT_PATH}")
+    out_path = bench_record_path("sim_throughput", payload["full_scale"])
+    print(f"wrote {out_path}")
 
 
 def _assert_floors(payload: Dict[str, object]) -> None:

@@ -5,11 +5,20 @@ slots and swaps cold adapters to host memory asynchronously (§5 "LoRA
 adapter swap"): the wire time largely overlaps with ongoing compute, so
 a swap-in stalls the pipeline only for the un-overlapped remainder.
 Baselines swap synchronously.
+
+Residency is indexed: every ``on_gpu`` flip goes through
+:meth:`AdapterManager._set_resident`, which keeps a map of the resident
+entries (at most ``gpu_slots`` of them) and drops the cached
+:attr:`~AdapterManager.resident_ids` list.  Queries and victim picks
+therefore cost O(slots), not O(registry); ``resident_ids`` is rebuilt
+only after a flip and always lists ids in registry order (placement
+iterates it, and the autoscaler and engine read its first entry).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.hardware.memory import TransferModel
@@ -19,6 +28,8 @@ from repro.models.lora import LoRAAdapterSpec
 @dataclass(slots=True)
 class _Residency:
     spec: LoRAAdapterSpec
+    #: Position in the registry (the order ``resident_ids`` lists).
+    order: int
     on_gpu: bool = False
     last_used: float = 0.0
     swap_ins: int = 0
@@ -60,8 +71,12 @@ class AdapterManager:
             else None
         )
         self._adapters: Dict[str, _Residency] = {
-            s.adapter_id: _Residency(s) for s in specs
+            s.adapter_id: _Residency(s, i) for i, s in enumerate(specs)
         }
+        #: The resident entries (the index behind every residency query).
+        self._resident: Dict[str, _Residency] = {}
+        #: ``resident_ids`` as last built; None after a flip.
+        self._resident_ids: Optional[List[str]] = None
         #: Soft-pinned adapter ids (fleet placement's hot replicas):
         #: eviction prefers unpinned victims but may still evict a pin
         #: under slot pressure — pins bias, they never deadlock.
@@ -71,7 +86,7 @@ class AdapterManager:
         # Warm start: the first adapters are resident (offline phase loads
         # them before serving begins).
         for res in list(self._adapters.values())[:gpu_slots]:
-            res.on_gpu = True
+            self._set_resident(res, True)
 
     # -- queries -------------------------------------------------------------
 
@@ -83,7 +98,16 @@ class AdapterManager:
 
     @property
     def resident_ids(self) -> List[str]:
-        return [a for a, r in self._adapters.items() if r.on_gpu]
+        """Resident adapter ids in registry order (shared; do not mutate).
+
+        A flip builds a new list rather than editing this one, so a
+        caller may keep iterating a returned list while it demotes.
+        """
+        ids = self._resident_ids
+        if ids is None:
+            entries = sorted(self._resident.values(), key=attrgetter("order"))
+            ids = self._resident_ids = [r.spec.adapter_id for r in entries]
+        return ids
 
     @property
     def adapter_ids(self) -> List[str]:
@@ -102,6 +126,15 @@ class AdapterManager:
         return entry
 
     # -- residency ----------------------------------------------------------------
+
+    def _set_resident(self, entry: _Residency, on_gpu: bool) -> None:
+        """Flip one adapter's residency, keeping the index in step."""
+        entry.on_gpu = on_gpu
+        if on_gpu:
+            self._resident[entry.spec.adapter_id] = entry
+        else:
+            del self._resident[entry.spec.adapter_id]
+        self._resident_ids = None
 
     def ensure_resident(self, adapter_ids: Sequence[str], now: float) -> float:
         """Make all of ``adapter_ids`` GPU-resident; return the stall time.
@@ -151,29 +184,29 @@ class AdapterManager:
                     stall += wire  # wasted transfer attempt
                     continue
             self._evict_one(exclude=set(needed))
-            entry.on_gpu = True
+            self._set_resident(entry, True)
             entry.swap_ins += 1
             stall += wire
         return stall, failed
 
     def _evict_one(self, exclude: set) -> None:
-        resident = [
-            (r.last_used, a) for a, r in self._adapters.items()
-            if r.on_gpu and a not in exclude
-        ]
-        if len(self.resident_ids) < self.gpu_slots:
+        if len(self._resident) < self.gpu_slots:
             return  # free slot available
+        resident = [
+            (r.last_used, a) for a, r in self._resident.items()
+            if a not in exclude
+        ]
         if not resident:
             raise RuntimeError("no evictable adapter (all slots pinned)")
         # Soft pins: evict the LRU *unpinned* resident first; fall back
         # to a pinned victim rather than failing the batch (a pin biases
-        # placement, it must never wedge the engine).
+        # placement, it must never wedge the engine).  Ids are unique,
+        # so ``(last_used, id)`` is a total order and ``min`` is exact.
         unpinned = [entry for entry in resident
                     if entry[1] not in self.pinned]
-        (unpinned or resident).sort()
-        victim = (unpinned or resident)[0][1]
+        victim = min(unpinned or resident)[1]
         # Swap-out is fully asynchronous (write-back can always overlap).
-        self._adapters[victim].on_gpu = False
+        self._set_resident(self._resident[victim], False)
 
     # -- fleet placement hooks (runtime/placement.py) -----------------------
 
@@ -200,9 +233,9 @@ class AdapterManager:
         entry = self._entry(adapter_id)
         if not entry.on_gpu:
             return False
-        if len(self.resident_ids) <= 1:
+        if len(self._resident) <= 1:
             return False
-        entry.on_gpu = False
+        self._set_resident(entry, False)
         return True
 
     def make_resident(self, adapter_id: str, now: float) -> bool:
@@ -216,7 +249,7 @@ class AdapterManager:
         if entry.on_gpu:
             return False
         self._evict_one(exclude={adapter_id})
-        entry.on_gpu = True
+        self._set_resident(entry, True)
         entry.swap_ins += 1
         return True
 

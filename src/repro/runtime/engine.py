@@ -130,6 +130,13 @@ class PhaseExecutor:
     executors, with a pool role restricting which phase an engine runs
     to completion.
 
+    The uncached reference path (:meth:`ServingEngine._execute_uncached`)
+    runs these hooks phase by phase.  The hot path fuses their
+    per-request work into one :class:`BatchScan` per iteration (the
+    signature fields, the token groups and, in
+    :meth:`ServingEngine._finalize`, :meth:`advance` with one batch KV
+    append); the scan must equal what the hooks compute.
+
     Bit-identity contract: the composed executors evaluate every float
     in the same order, and draw from the rng stream at the same points,
     as the pre-refactor monolithic loop — the golden determinism
@@ -277,6 +284,33 @@ class DecodeExecutor(PhaseExecutor):
             )
 
 
+@dataclass(slots=True)
+class BatchScan:
+    """What one engine iteration reads off its batch, gathered in one pass.
+
+    The fused form of the phase executors' per-request hooks
+    (``select``, ``plan``, ``signature_fields``, ``accumulate_tokens``)
+    plus the decode-capacity count and the ids of the end-of-iteration
+    KV append.  Every field is an integer or a flag, so gathering them
+    in batch order changes no float.
+    """
+
+    #: The scanned list, by identity (``_scan_batch``'s memo key).
+    batch: List[Request]
+    #: Request ids in batch order: each appends one token at the end.
+    seq_ids: List[int]
+    #: Members sitting on a block boundary (each needs one fresh block).
+    new_blocks: int
+    #: :class:`BatchSignature` prefill launches (prefills in batch order).
+    prefill_launches: Tuple[Tuple[Tuple[int, ...], int], ...]
+    num_decodes: int
+    decode_context_total: int
+    lm_head: bool
+    task_head_classes: int
+    #: Adapter -> tokens, in prefill-then-decode insertion order.
+    adapter_tokens: Dict[str, int]
+
+
 class ServingEngine:
     """One GPU's serving loop over a simulated clock."""
 
@@ -406,6 +440,8 @@ class ServingEngine:
         self.phase_executors: Tuple[PhaseExecutor, ...] = (
             self.prefill_exec, self.decode_exec
         )
+        #: The current iteration's batch scan (``_scan_batch``'s memo).
+        self._scan: Optional[BatchScan] = None
         # -- disaggregated serving hooks (runtime/disagg.py) ---------------
         #: Prefill-pool engines park finished prefills here instead of
         #: decoding them; the cluster's KV-transfer pass drains it,
@@ -601,13 +637,12 @@ class ServingEngine:
         self._kv_stalls = 0
 
         needed = self._batch_adapters(batch, decision)
-        uniq = list(dict.fromkeys(needed))
-        hits = sum(1 for a in uniq if self.adapters.is_resident(a))
+        hits = sum(1 for a in needed if self.adapters.is_resident(a))
         stall, failed_swaps = self.adapters.try_ensure_resident(
             needed, self.clock.now, injector=self.faults
         )
         self.metrics.adapter_cache_hits += hits
-        misses = len(uniq) - hits
+        misses = len(needed) - hits
         if misses:
             self.metrics.adapter_cache_misses += misses
             self.metrics.swap_ins += misses - len(failed_swaps)
@@ -1166,15 +1201,14 @@ class ServingEngine:
         re-prefill later.  Preempted requests stay active and waiting.
         """
         batch = list(batch)
-        block = self.kv.block_size
         while True:
             # Every batch member (prefill or decode) appends one token at
             # the end of the iteration; a sequence sitting exactly on a
             # block boundary needs one fresh block for it.  A batch
             # member's KV sequence always holds exactly ``context_len``
-            # tokens (allocate() seeds it there, append_token() tracks
+            # tokens (allocate() seeds it there, the appends track
             # ``generated``), so no per-request cache lookups are needed.
-            needed = sum(1 for r in batch if r.context_len % block == 0)
+            needed = self._scan_batch(batch).new_blocks
             if needed <= self.kv.free_blocks:
                 return batch
             victim = self._pick_preemption_victim(batch)
@@ -1259,6 +1293,80 @@ class ServingEngine:
             self._task_class_cache[adapter_id] = classes
         return classes
 
+    def _scan_batch(self, batch: List[Request]) -> BatchScan:
+        """One pass over ``batch``: everything this iteration reads of it.
+
+        Memoized on the list's identity: the scan made for the capacity
+        check serves the cost lookup and the KV append of the same
+        iteration.  Every step that changes the batch builds a new list
+        and nothing changes a member's state before :meth:`_finalize`,
+        so a memo hit is always current.
+        """
+        scan = self._scan
+        if scan is not None and scan.batch is batch:
+            return scan
+        block = self.kv.block_size
+        reused = self._reused_tokens
+        seq_ids: List[int] = []
+        new_blocks = 0
+        prefill_tokens: List[int] = []
+        prefill_images: List[int] = []
+        prefill_groups: Dict[str, int] = {}
+        decode_groups: Dict[str, int] = {}
+        num_decodes = 0
+        total_context = 0
+        lm = False
+        head_classes = 0
+        for r in batch:
+            rid = r.request_id
+            context = r.context_len
+            adapter = r.adapter_id
+            seq_ids.append(rid)
+            if context % block == 0:
+                new_blocks += 1
+            if r.prefilled:
+                num_decodes += 1
+                total_context += context
+                if r.use_task_head:
+                    classes = self._task_classes_of(adapter)
+                    if classes > head_classes:
+                        head_classes = classes
+                else:
+                    lm = True
+                decode_groups[adapter] = decode_groups.get(adapter, 0) + 1
+            else:
+                # Effective prompt tokens after prefix reuse (floor 1: a
+                # fully reused prompt still pays one positional launch).
+                tok = max(context - reused.get(rid, 0), 1)
+                prefill_tokens.append(tok)
+                prefill_images.append(r.num_images)
+                prefill_groups[adapter] = prefill_groups.get(adapter, 0) + tok
+
+        if not prefill_tokens:
+            launches = ()
+        elif self.config.batch_prefills:
+            launches = ((tuple(prefill_tokens), sum(prefill_images)),)
+        else:
+            launches = tuple(
+                ((tok,), images)
+                for tok, images in zip(prefill_tokens, prefill_images)
+            )
+        adapter_tokens = prefill_groups
+        for adapter, count in decode_groups.items():
+            adapter_tokens[adapter] = adapter_tokens.get(adapter, 0) + count
+        scan = self._scan = BatchScan(
+            batch=batch,
+            seq_ids=seq_ids,
+            new_blocks=new_blocks,
+            prefill_launches=launches,
+            num_decodes=num_decodes,
+            decode_context_total=total_context,
+            lm_head=lm,
+            task_head_classes=head_classes,
+            adapter_tokens=adapter_tokens,
+        )
+        return scan
+
     def _execute(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> float:
         """Cost one iteration over ``batch`` and return its latency."""
@@ -1275,18 +1383,12 @@ class ServingEngine:
         ``(base cost, extra-cost mean)``; only the jitter sample on the
         extra cost runs per iteration, drawn from the same rng stream at
         the same points as the uncached path, so runs are bit-identical
-        either way.  Each phase executor contributes its slice of the
-        signature and its adapter-token share, in prefill-then-decode
-        order (the dict insertion order the signature keys on).
+        either way.  The signature fields and the adapter-token groups
+        (in prefill-then-decode order, the dict insertion order the
+        signature keys on) come from the iteration's :class:`BatchScan`.
         """
-        adapter_tokens: Dict[str, int] = {}
-        fields: Dict[str, object] = {}
-        for executor in self.phase_executors:
-            requests = executor.select(batch)
-            plan = executor.plan(requests)
-            fields.update(executor.signature_fields(requests, plan))
-            executor.accumulate_tokens(requests, plan, adapter_tokens)
-
+        scan = self._scan_batch(batch)
+        adapter_tokens = scan.adapter_tokens
         groups = tuple(adapter_tokens.items())
         ranks = tuple(
             (a, self._rank_of(a)) for a in adapter_tokens
@@ -1297,9 +1399,13 @@ class ServingEngine:
         sig = BatchSignature(
             mode=mode,
             merged_adapter=merged,
+            prefill_launches=scan.prefill_launches,
+            num_decodes=scan.num_decodes,
+            decode_context_total=scan.decode_context_total,
+            lm_head=scan.lm_head,
+            task_head_classes=scan.task_head_classes,
             adapter_groups=groups,
             adapter_ranks=ranks,
-            **fields,
         )
         base, extra_mean = self.cost_cache.lookup(sig)
         if not adapter_tokens:
@@ -1345,19 +1451,28 @@ class ServingEngine:
         # completes early with a truncated answer (degraded service)
         # instead of holding its batch slot and KV for the full decode.
         cap = self._brownout.decode_cap if self._brownout is not None else None
+        # Each member's PhaseExecutor.advance, fused: one KV append for
+        # the whole batch (in batch order, before any free below), then
+        # the request transitions.
+        self.kv.append_tokens(self._scan_batch(batch).seq_ids)
+        self._scan = None
         finished: List[Request] = []
         handoffs: List[Request] = []
         for r in batch:
-            executor = self.decode_exec if r.prefilled else self.prefill_exec
-            executor.advance(r)
+            prefilling = not r.prefilled
+            if prefilling:
+                r.prefilled = True
+                r.status = RequestStatus.RUNNING
+            r.generated += 1
+            if r.first_token_time is None:
+                r.first_token_time = now
             if r.is_finished or (cap is not None and r.generated >= cap):
                 if not r.is_finished:
                     self.metrics.brownout_truncations += 1
                 r.finish_time = now
                 r.status = RequestStatus.FINISHED
                 finished.append(r)
-            elif (self.handoff_after_prefill
-                    and executor is self.prefill_exec):
+            elif self.handoff_after_prefill and prefilling:
                 handoffs.append(r)
         for r in finished:
             self.kv.free(r.request_id)

@@ -5,6 +5,14 @@ lives in fixed-size blocks; a sequence owns a chain of blocks; blocks of
 a shared prefix are reference-counted so multiple requests over the same
 image reuse one copy (§5 "KV cache reuse", after CacheBlend / SGLang).
 
+Block state is one ``refcount`` int list indexed by block id plus a LIFO
+free list: a run of blocks is taken with one list slice (handing ids
+out in the same order as repeated ``pop()``), and a release walks its
+block list once.  :meth:`PagedKVCache.append_tokens` extends a whole
+batch by one token each (the engine calls it once per iteration);
+:meth:`PagedKVCache.append_token` is its one-element form, so a single
+growth rule covers both.
+
 Invariants (property-tested in ``tests/runtime/test_kv_cache.py``):
 
 * ``free_blocks + used_blocks == num_blocks`` at all times;
@@ -15,17 +23,11 @@ Invariants (property-tested in ``tests/runtime/test_kv_cache.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 class BlockAllocationError(RuntimeError):
     """Raised when the cache cannot serve an allocation."""
-
-
-@dataclass(slots=True)
-class _Block:
-    block_id: int
-    refcount: int = 0
 
 
 @dataclass(slots=True)
@@ -56,7 +58,8 @@ class PagedKVCache:
         self.num_blocks = num_blocks
         self.block_size = block_size
         self.kv_bytes_per_token = kv_bytes_per_token
-        self._blocks = [_Block(i) for i in range(num_blocks)]
+        #: Per-block reference count (0 exactly when the block is free).
+        self._refcount: List[int] = [0] * num_blocks
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         self._sequences: Dict[int, _Sequence] = {}
         self._prefixes: Dict[str, _PrefixEntry] = {}
@@ -101,9 +104,15 @@ class PagedKVCache:
                 f"need {count} blocks, only {self.free_blocks} free "
                 f"({self.reserved_blocks} reserved)"
             )
-        taken = [self._free.pop() for _ in range(count)]
+        if count == 0:
+            return []
+        free = self._free
+        taken = free[-count:]
+        del free[-count:]
+        taken.reverse()  # the order repeated pop() would hand them out
+        refcount = self._refcount
         for b in taken:
-            self._blocks[b].refcount = 1
+            refcount[b] = 1
         return taken
 
     def allocate(self, seq_id: int, num_tokens: int,
@@ -133,8 +142,9 @@ class PagedKVCache:
                 shared_blocks = list(entry.blocks)
                 reused_tokens = entry.num_tokens
                 entry.last_used = now
+                refcount = self._refcount
                 for b in shared_blocks:
-                    self._blocks[b].refcount += 1
+                    refcount[b] += 1
 
         remaining = num_tokens - reused_tokens
         own = self._take_blocks(self._blocks_for(remaining) if remaining > 0 else 0)
@@ -152,8 +162,9 @@ class PagedKVCache:
                 and prefix_tokens >= self.block_size):
             full = prefix_tokens // self.block_size
             prefix_blocks = own[:full]
+            refcount = self._refcount
             for b in prefix_blocks:
-                self._blocks[b].refcount += 1
+                refcount[b] += 1
             self._prefixes[prefix_key] = _PrefixEntry(
                 key=prefix_key,
                 blocks=list(prefix_blocks),
@@ -164,27 +175,44 @@ class PagedKVCache:
 
     def append_token(self, seq_id: int) -> None:
         """Extend a sequence by one decoded token, growing it if needed."""
-        seq = self._seq(seq_id)
-        capacity = len(seq.blocks) * self.block_size
-        if seq.num_tokens + 1 > capacity:
-            seq.blocks.extend(self._take_blocks(1))
-        seq.num_tokens += 1
+        self.append_tokens((seq_id,))
+
+    def append_tokens(self, seq_ids: Iterable[int]) -> None:
+        """Extend each sequence by one token, in order, growing as needed.
+
+        Equivalent to :meth:`append_token` per id: a sequence sitting on
+        a block boundary takes one fresh block.  An unknown id or an
+        exhausted cache raises :class:`BlockAllocationError`, leaving the
+        ids before it extended.
+        """
+        sequences = self._sequences
+        size = self.block_size
+        for seq_id in seq_ids:
+            seq = sequences.get(seq_id)
+            if seq is None:
+                raise BlockAllocationError(f"unknown sequence {seq_id}")
+            if seq.num_tokens >= len(seq.blocks) * size:
+                seq.blocks += self._take_blocks(1)
+            seq.num_tokens += 1
 
     def free(self, seq_id: int) -> None:
         """Release a sequence; shared prefix blocks survive while cached."""
         seq = self._sequences.pop(seq_id, None)
         if seq is None:
             raise BlockAllocationError(f"unknown sequence {seq_id}")
-        for b in seq.blocks:
-            self._release_block(b)
+        self._release_blocks(seq.blocks)
 
-    def _release_block(self, block_id: int) -> None:
-        block = self._blocks[block_id]
-        if block.refcount <= 0:
-            raise BlockAllocationError(f"double free of block {block_id}")
-        block.refcount -= 1
-        if block.refcount == 0:
-            self._free.append(block_id)
+    def _release_blocks(self, blocks: List[int]) -> None:
+        """Drop one reference to each block; free the ones that hit 0."""
+        refcount = self._refcount
+        free = self._free
+        for b in blocks:
+            count = refcount[b]
+            if count <= 0:
+                raise BlockAllocationError(f"double free of block {b}")
+            refcount[b] = count - 1
+            if count == 1:
+                free.append(b)
 
     # -- prefix management ----------------------------------------------------------------
 
@@ -193,8 +221,7 @@ class PagedKVCache:
         entry = self._prefixes.pop(prefix_key, None)
         if entry is None:
             raise KeyError(f"unknown prefix {prefix_key!r}")
-        for b in entry.blocks:
-            self._release_block(b)
+        self._release_blocks(entry.blocks)
 
     def evict_stale_prefixes(self, older_than: float) -> int:
         """Drop prefixes unused since ``older_than``; returns count dropped."""
@@ -229,15 +256,15 @@ class PagedKVCache:
         free_set = set(self._free)
         if len(free_set) != len(self._free):
             raise AssertionError("duplicate blocks on the free list")
-        for b in self._blocks:
-            if b.block_id in free_set:
-                if b.refcount != 0:
+        for block_id, refcount in enumerate(self._refcount):
+            if block_id in free_set:
+                if refcount != 0:
                     raise AssertionError(
-                        f"free block {b.block_id} has refcount {b.refcount}"
+                        f"free block {block_id} has refcount {refcount}"
                     )
-            elif b.refcount <= 0:
+            elif refcount <= 0:
                 raise AssertionError(
-                    f"used block {b.block_id} has refcount {b.refcount}"
+                    f"used block {block_id} has refcount {refcount}"
                 )
         for seq in self._sequences.values():
             if seq.num_tokens > len(seq.blocks) * self.block_size:

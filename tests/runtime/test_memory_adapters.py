@@ -1,6 +1,9 @@
 """Tests for unified memory planning and adapter residency."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.hardware import A10, A100_80GB, TransferModel
 from repro.models import LLAVA15_13B, QWEN_VL_7B, LoRAAdapterSpec
@@ -100,3 +103,139 @@ class TestAdapterManager:
         mgr = self.make(n=4, slots=2)
         mgr.ensure_resident(["a2", "a3"], now=1.0)
         assert mgr.is_resident("a2") and mgr.is_resident("a3")
+
+
+# -- residency index vs. a brute-force reference -----------------------------
+
+
+class _FailingSwaps:
+    """Injector stub: swaps of the ids in ``failing`` fail; none slow."""
+
+    def __init__(self, failing):
+        self.failing = set(failing)
+
+    def swap_slowdown(self, adapter_id, now):
+        return 1.0
+
+    def swap_should_fail(self, adapter_id, now):
+        return adapter_id in self.failing
+
+
+class _ReferenceResidency:
+    """The residency rules by full registry scans: LRU on ``(last_used,
+    id)`` among non-requested residents, unpinned victims first."""
+
+    def __init__(self, ids, slots):
+        self.ids = list(ids)
+        self.slots = slots
+        self.on_gpu = {a: i < slots for i, a in enumerate(self.ids)}
+        self.last_used = {a: 0.0 for a in self.ids}
+        self.pinned = set()
+        self.victims = []
+
+    def resident(self):
+        return [a for a in self.ids if self.on_gpu[a]]
+
+    def _evict_one(self, exclude):
+        if len(self.resident()) < self.slots:
+            return
+        pool = [(self.last_used[a], a) for a in self.resident()
+                if a not in exclude]
+        unpinned = [p for p in pool if p[1] not in self.pinned]
+        victim = sorted(unpinned or pool)[0][1]
+        self.on_gpu[victim] = False
+        self.victims.append(victim)
+
+    def try_ensure_resident(self, ids, now, failing):
+        needed = list(dict.fromkeys(ids))
+        failed = []
+        for a in needed:
+            self.last_used[a] = now
+            if self.on_gpu[a]:
+                continue
+            if a in failing:
+                failed.append(a)
+                continue
+            self._evict_one(set(needed))
+            self.on_gpu[a] = True
+        return failed
+
+    def make_resident(self, a, now):
+        self.last_used[a] = now
+        if self.on_gpu[a]:
+            return False
+        self._evict_one({a})
+        self.on_gpu[a] = True
+        return True
+
+    def demote(self, a):
+        if not self.on_gpu[a] or len(self.resident()) <= 1:
+            return False
+        self.on_gpu[a] = False
+        return True
+
+
+class ResidencyMachine(RuleBasedStateMachine):
+    """The indexed residency set equals a registry-scan reference."""
+
+    N, SLOTS = 7, 3
+
+    def __init__(self):
+        super().__init__()
+        self.mgr = AdapterManager(
+            specs(self.N), gpu_slots=self.SLOTS,
+            transfer_model=TransferModel(A100_80GB),
+        )
+        self.ref = _ReferenceResidency(self.mgr.adapter_ids, self.SLOTS)
+        self.now = 0.0
+
+    def _tick(self):
+        self.now += 1.0
+        return self.now
+
+    @rule(ids=st.lists(st.integers(0, N - 1), min_size=1, max_size=SLOTS),
+          failing=st.sets(st.integers(0, N - 1), max_size=2))
+    def ensure(self, ids, failing):
+        names = [f"a{i}" for i in ids]
+        fail = {f"a{i}" for i in failing}
+        now = self._tick()
+        before = len(self.ref.victims)
+        _, failed = self.mgr.try_ensure_resident(
+            names, now, injector=_FailingSwaps(fail))
+        assert failed == self.ref.try_ensure_resident(names, now, fail)
+        evicted = self.ref.victims[before:]
+        assert all(not self.mgr.is_resident(a) for a in evicted)
+
+    @rule(i=st.integers(0, N - 1))
+    def make_resident(self, i):
+        now = self._tick()
+        assert (self.mgr.make_resident(f"a{i}", now)
+                == self.ref.make_resident(f"a{i}", now))
+
+    @rule(i=st.integers(0, N - 1))
+    def demote(self, i):
+        assert self.mgr.demote(f"a{i}") == self.ref.demote(f"a{i}")
+
+    @rule(i=st.integers(0, N - 1))
+    def pin(self, i):
+        self.mgr.pin(f"a{i}")
+        self.ref.pinned.add(f"a{i}")
+
+    @rule(i=st.integers(0, N - 1))
+    def unpin(self, i):
+        self.mgr.unpin(f"a{i}")
+        self.ref.pinned.discard(f"a{i}")
+
+    @invariant()
+    def resident_set_matches(self):
+        ids = self.mgr.resident_ids
+        assert ids == [a for a in self.mgr.adapter_ids
+                       if self.mgr.is_resident(a)]
+        assert ids == self.ref.resident()
+        assert len(ids) <= self.SLOTS
+
+
+TestResidencyEquivalence = ResidencyMachine.TestCase
+TestResidencyEquivalence.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

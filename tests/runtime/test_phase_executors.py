@@ -279,3 +279,64 @@ def test_executors_compose_the_engine():
     assert decode.phase == "decode"
     assert prefill is engine.prefill_exec
     assert decode is engine.decode_exec
+
+
+class ScanCheckedEngine(ServingEngine):
+    """Checks every cached iteration's fused :class:`BatchScan` against
+    the phase executors' per-request hooks it replaces."""
+
+    def _execute_cached(self, batch, mode, merged):
+        fields: Dict[str, object] = {}
+        tokens: Dict[str, int] = {}
+        for executor in self.phase_executors:
+            requests = executor.select(batch)
+            plan = executor.plan(requests)
+            fields.update(executor.signature_fields(requests, plan))
+            executor.accumulate_tokens(requests, plan, tokens)
+        scan = self._scan_batch(batch)
+        assert fields == {
+            "prefill_launches": scan.prefill_launches,
+            "num_decodes": scan.num_decodes,
+            "decode_context_total": scan.decode_context_total,
+            "lm_head": scan.lm_head,
+            "task_head_classes": scan.task_head_classes,
+        }
+        assert list(tokens.items()) == list(scan.adapter_tokens.items())
+        block = self.kv.block_size
+        assert scan.new_blocks == sum(
+            1 for r in batch if r.context_len % block == 0)
+        assert scan.seq_ids == [r.request_id for r in batch]
+        self.scans_checked = getattr(self, "scans_checked", 0) + 1
+        return super()._execute_cached(batch, mode, merged)
+
+
+@pytest.mark.parametrize("system", ["v-lora", "punica", "dlora"])
+@pytest.mark.parametrize("task_heads", [False, True])
+def test_batch_scan_equals_executor_hooks(system, task_heads):
+    builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=2,
+                            max_batch_size=8)
+    reset_request_ids()
+    requests = RetrievalWorkload(
+        builder.adapter_ids, rate_rps=10.0, duration_s=10.0, seed=3,
+        use_task_heads=task_heads,
+    ).generate()
+    engine = builder.build(system, engine_cls=ScanCheckedEngine)
+    engine.submit(requests)
+    engine.run()
+    assert engine.scans_checked == engine.metrics.iterations > 0
+
+
+def test_executor_advance_is_the_per_request_transition():
+    """``advance`` (the reference form of ``_finalize``'s fused step)
+    appends one KV token and moves the request on by one token."""
+    engine = SystemBuilder(num_adapters=2).build("v-lora")
+    reset_request_ids()
+    r = Request(adapter_id=engine.adapters.adapter_ids[0],
+                input_tokens=16, output_tokens=3, arrival_time=0.0)
+    engine.kv.allocate(r.request_id, r.context_len)
+    engine.prefill_exec.advance(r)
+    assert r.prefilled and r.status is RequestStatus.RUNNING
+    assert r.generated == 1 and r.first_token_time == engine.clock.now
+    engine.decode_exec.advance(r)
+    assert r.generated == 2
+    assert engine.kv.sequence_tokens(r.request_id) == r.context_len == 18
