@@ -63,7 +63,7 @@ def test_ext_internvl_tp(benchmark, results):
     from repro.hardware import A100_80GB
     from repro.models import IterationCostModel
     costs = IterationCostModel(INTERNVL2_76B, A100_80GB, tp_degree=4)
-    benchmark(costs.decode_seconds_uniform, 8, 512)
+    benchmark(costs.decode_seconds, [512] * 8)
 
     results.print_table(
         "Extension: InternVL2-76B with tensor parallelism (future work)",

@@ -46,7 +46,8 @@ def test_fig16_vision_head(benchmark, results):
     from repro.hardware import A100_80GB
     from repro.models import QWEN_VL_7B, IterationCostModel
     costs = IterationCostModel(QWEN_VL_7B, A100_80GB)
-    benchmark(costs.decode_seconds_uniform, 8, 512, False, 101)
+    benchmark(costs.decode_seconds, [512] * 8, lm_head=False,
+              task_head_classes=101)
 
     rows = [
         [s,

@@ -335,66 +335,28 @@ class GemmCostModel:
         is computed over the *total* block count while per-group tile
         geometry (and padding waste) is preserved.
         """
-        # Loop invariants hoisted (the call sits under the engine's cost
-        # cache misses): every hoisted value is the same expression the
-        # per-group code evaluated, computed once, so each group's float
-        # contributions are bit-identical to the unhoisted loop's.
-        bm, bn, bk = cfg.bm, cfg.bn, cfg.bk
-        split_k, wk = cfg.split_k, cfg.wk
-        bmbn = bm * bn
-        smem_tile = cfg.smem_tile_bytes
-        core_peak = self._core_peak(cfg)
-        num_sms = self.gpu.num_sms
-        mem_bw = self.gpu.hbm_bytes_per_s * self.mem_efficiency
-        kstep_cycles = self.KSTEP_OVERHEAD_CYCLES * (
-            1.0 if cfg.double_buffered else 2.0
+        problems = grouped.problems
+        return self.grouped_seconds_mnk(
+            [p.m for p in problems], [p.k for p in problems],
+            [p.n for p in problems], cfg,
         )
-        clock_hz = self.gpu.sm_clock_ghz * 1e9
-        geometry = [
-            (p, _ceil_div(p.m, bm) * _ceil_div(p.n, bn) * split_k)
-            for p in grouped.problems
-        ]
-        util = self.sm_utilization(sum(b for _, b in geometry))
-        compute = 0.0
-        memory = 0.0
-        for p, blocks in geometry:
-            k_per_split = _ceil_div(p.k, split_k)
-            ksteps = _ceil_div(k_per_split, bk)
-            padded_flops = blocks * bmbn * (ksteps * bk) * 2
-            compute += padded_flops / core_peak
-            compute += (
-                (_ceil_div(k_per_split, wk) * kstep_cycles / clock_hz)
-                * blocks / num_sms
-            )
-            load_bytes = blocks * ksteps * smem_tile
-            out_bytes = blocks * bmbn * FP16_BYTES
-            if split_k > 1:
-                grid = blocks // split_k
-                partial = grid * bmbn * 4
-                out_bytes = partial * split_k * 2 + out_bytes
-            memory += (load_bytes + out_bytes) / mem_bw
-        compute /= util
-        residual = (
-            self.overlap_residual if cfg.double_buffered
-            else self.overlap_residual_single
-        )
-        in_kernel = max(compute, memory) + residual * min(compute, memory)
-        return in_kernel + self.launch_seconds(1)
 
     def grouped_seconds_mnk(
         self, ms: Sequence[int], ks: Sequence[int], ns: Sequence[int],
         cfg: TilingConfig,
     ) -> float:
-        """Bit-identical twin of :meth:`grouped_seconds` over parallel
-        ``(m, k, n)`` integer lists.
+        """:meth:`grouped_seconds` over parallel ``(m, k, n)`` integer
+        lists.
 
         The serving engine's LoRA extra-cost tower evaluates thousands
         of small grouped GEMMs per run; taking the dimensions directly
         skips the per-call :class:`GemmShape`/:class:`GroupedGemm`
-        wrapper churn while every arithmetic expression — and therefore
-        every rounding — matches :meth:`grouped_seconds` exactly (same
-        hoisted invariants, same per-group accumulation order).
+        wrapper churn.
         """
+        # Loop invariants hoisted (the call sits under the engine's cost
+        # cache misses): every hoisted value is the same expression the
+        # per-group code evaluated, computed once, so each group's float
+        # contributions are bit-identical to the unhoisted loop's.
         bm, bn, bk = cfg.bm, cfg.bn, cfg.bk
         split_k, wk = cfg.split_k, cfg.wk
         bmbn = bm * bn

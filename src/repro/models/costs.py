@@ -17,7 +17,6 @@ Calibration sanity (A100-80GB, Qwen-VL-7B):
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from repro.hardware.gpu import GPUSpec
@@ -44,12 +43,6 @@ class IterationCostModel:
         self.gpu = gpu
         self.tp_degree = tp_degree
         self.cost_model = cost_model or GemmCostModel(gpu)
-        # Memoize per *instance*: a class-level ``@lru_cache`` on a method
-        # closes over ``self``, so one shared cache pins every instance
-        # alive and mixes entries across (model, GPU, tp) configurations.
-        self.decode_seconds_uniform = lru_cache(maxsize=4096)(
-            self._decode_seconds_uniform
-        )
         # Tensor parallelism shards every weight matrix across GPUs:
         # per-GPU compute and weight traffic shrink by tp, at the cost of
         # two all-reduces of the activations per layer (Megatron-style).
@@ -194,19 +187,3 @@ class IterationCostModel:
         if task_head_classes > 0:
             t += self.head_seconds(batch, task_head_classes)
         return t
-
-    # -- convenience -------------------------------------------------------------
-
-    def _decode_seconds_uniform(
-        self, batch: int, context_len: int,
-        lm_head: bool = True, task_head_classes: int = 0,
-    ) -> float:
-        """Memoized decode step for a uniform-context batch (hot path).
-
-        Exposed as ``decode_seconds_uniform`` (wrapped per instance in
-        ``__init__`` so caches are never shared across GPU configs).
-        """
-        return self.decode_seconds(
-            [context_len] * batch, lm_head=lm_head,
-            task_head_classes=task_head_classes,
-        )

@@ -605,10 +605,8 @@ class ServingEngine:
             return
         if (self._brownout is not None and self._brownout.force_merged
                 and decision.mode is not InferenceMode.MERGED):
-            forced = self._force_merged_decision(schedulable)
-            if forced is not None:
-                decision = forced
-                self.metrics.brownout_forced_merges += 1
+            decision = self._force_merged_decision(schedulable, ctx)
+            self.metrics.brownout_forced_merges += 1
 
         mode, merged = decision.mode, decision.merged_adapter
         switch_s = self._apply_mode(mode, merged)
@@ -780,21 +778,20 @@ class ServingEngine:
             self.metrics.brownout_sheds += 1
 
     def _force_merged_decision(
-            self, schedulable: Sequence[Request]
-    ) -> Optional[SchedulerDecision]:
-        """Brownout level 3: run the hottest adapter merged, max batch."""
-        counts: Dict[str, int] = {}
-        for r in schedulable:
-            counts[r.adapter_id] = counts.get(r.adapter_id, 0) + 1
-        if not counts:
-            return None
-        top = min(counts, key=lambda a: (-counts[a], a))
-        batch = [r for r in schedulable if r.adapter_id == top]
-        batch = batch[: self.config.max_batch_size]
-        if not batch:
-            return None
+            self, schedulable: Sequence[Request], ctx: SchedulingContext
+    ) -> SchedulerDecision:
+        """Brownout level 3: run the hottest adapter merged, max batch.
+
+        ``schedulable`` is non-empty; ``ctx.adapter_counts`` mirrors it
+        whenever it is set.
+        """
+        top = SchedulingPolicy._top_adapter(schedulable, ctx.adapter_counts)
         return SchedulerDecision(
-            batch=batch, mode=InferenceMode.MERGED, merged_adapter=top
+            batch=SchedulingPolicy._first_matching(
+                schedulable, top, self.config.max_batch_size
+            ),
+            mode=InferenceMode.MERGED,
+            merged_adapter=top,
         )
 
     # -- resilience -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,12 +137,13 @@ class SchedulingPolicy(abc.ABC):
 
     def refresh_credits(self, requests: Sequence[Request],
                         ctx: SchedulingContext) -> None:
-        """Recompute ``request.credit`` as :meth:`schedule` would.
+        """Recompute ``request.credit`` under ``ctx``.
 
-        Fast-path scheduling avoids touching every candidate's credit
-        each step; callers that *read* credits (shed-victim selection)
-        invoke this first so the values match what a full pass under
-        ``ctx`` would have written.  Policies without credits no-op.
+        :meth:`schedule` skips the per-candidate credit writes when the
+        engine hands over FCFS order and adapter counts; callers that
+        *read* credits (shed-victim selection) invoke this first so the
+        values match the scheduling context.  Policies without credits
+        no-op.
         """
 
     # -- struct-of-arrays fast paths (runtime/soa_core.py) -------------------
@@ -161,7 +162,7 @@ class SchedulingPolicy(abc.ABC):
     #   view.first_other(a)    -> first live index with adapter != a, or -1
     #
     # Each ``schedule_soa`` is the decision-identical twin of the object
-    # path's fast pass: same branches, same float expressions, same
+    # path's ordered pass: same branches, same float expressions, same
     # tie-breaks — property-tested in tests/runtime/test_soa_core.py.
 
     def schedule_soa(self, view, ctx: SoAScheduleContext):
@@ -231,6 +232,22 @@ class SchedulingPolicy(abc.ABC):
             return list(requests)
         return sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
 
+    @classmethod
+    def _ordered(cls, candidates: Sequence[Request], ctx: SchedulingContext
+                 ) -> Tuple[Sequence[Request], Dict[str, int]]:
+        """Candidates in FCFS order with their per-adapter counts.
+
+        The engine hands both over through ``ctx`` when it can vouch for
+        them; for any other caller they are computed here, so each
+        policy runs one ordered pass over either.
+        """
+        if not ctx.candidates_fcfs:
+            candidates = cls._fcfs(candidates)
+        counts = ctx.adapter_counts
+        if counts is None:
+            counts = Counter(r.adapter_id for r in candidates)
+        return candidates, counts
+
     @staticmethod
     def _top_adapter(
         requests: Sequence[Request],
@@ -263,7 +280,7 @@ class VLoRAPolicy(SchedulingPolicy):
         self.theta = theta
 
     def _credit(self, r, ctx):
-        # Same float-addition order as the assignment loop below.
+        # refresh_credits_soa reproduces this float-addition order.
         return (
             r.waiting_time(ctx.now)
             + ctx.est_iteration_seconds
@@ -281,7 +298,7 @@ class VLoRAPolicy(SchedulingPolicy):
         non-increasing along FCFS order (floating-point subtraction,
         max, and addition are all monotone) — so ``credit > theta``
         holds on exactly a prefix, found by bisection with the same
-        per-request float expression the full pass evaluates.
+        per-request float expression :meth:`refresh_credits` writes.
         """
         lo, hi = 0, len(candidates)
         while lo < hi:
@@ -293,26 +310,26 @@ class VLoRAPolicy(SchedulingPolicy):
         return lo
 
     def schedule(self, candidates, ctx):
+        """Algorithm 1 in one ordered pass over :meth:`_ordered` input.
+
+        The starving set is the bisected FCFS prefix, the popular
+        adapter's tally comes from the adapter counts, and every batch
+        is assembled by early-exit scans — O(log n + batch) on the
+        engine's hinted input.  Credits are written here only for
+        callers without those hints (the seed engine reads them straight
+        off the requests); the engine gets them from
+        :meth:`refresh_credits` when it needs them.
+        """
         if not candidates:
             return None
-        if ctx.candidates_fcfs and ctx.adapter_counts is not None:
-            return self._schedule_fast(candidates, ctx)
+        if not (ctx.candidates_fcfs and ctx.adapter_counts is not None):
+            self.refresh_credits(candidates, ctx)
+        candidates, counts = self._ordered(candidates, ctx)
         max_bs = ctx.max_batch_size
-        for r in candidates:
-            r.credit = (
-                r.waiting_time(ctx.now)
-                + ctx.est_iteration_seconds
-                + ctx.est_switch_seconds
-            )
-        presorted = ctx.candidates_fcfs
-        starve = self._fcfs(
-            [r for r in candidates if r.credit > self.theta], presorted
-        )
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        merge_reqs = self._fcfs(
-            [r for r in candidates if r.adapter_id == top], presorted
-        )
-        slots_after_starve = max(0, max_bs - len(starve))
+        n = len(candidates)
+        num_starve = self._starve_prefix_len(candidates, ctx)
+        top = self._top_adapter(candidates, counts)
+        num_merge_total = counts[top]
 
         # Principle (1), §4.4.3: merged whenever possible.  When every
         # live request wants the same adapter and nothing starves,
@@ -320,87 +337,7 @@ class VLoRAPolicy(SchedulingPolicy):
         # (Algorithm 1's |R_merge|/MaxBS > 0.5 test is a hysteresis
         # guard for mixed traffic, not a reason to idle in unmerged
         # mode on single-tenant phases).
-        if not starve and len(merge_reqs) == len(candidates):
-            return SchedulerDecision(
-                batch=merge_reqs[:max_bs],
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-
-        # Principle (2) hysteresis: while the popular adapter is already
-        # merged, leaving merged mode costs an un-merge; stay merged as
-        # long as nothing starves, and rescue starving minorities via
-        # mixture (whose switch from merged is free) before considering
-        # unmerged mode.
-        if (ctx.current_merged == top and merge_reqs
-                and ctx.current_mode in (InferenceMode.MERGED,
-                                         InferenceMode.MIXTURE)):
-            if not starve:
-                return SchedulerDecision(
-                    batch=merge_reqs[:max_bs],
-                    mode=InferenceMode.MERGED,
-                    merged_adapter=top,
-                )
-            if len(starve) / max_bs <= 0.5:
-                starve_ids = {r.request_id for r in starve}
-                fill = [
-                    r for r in merge_reqs if r.request_id not in starve_ids
-                ][:slots_after_starve]
-                return SchedulerDecision(
-                    batch=(starve + fill)[:max_bs],
-                    mode=InferenceMode.MIXTURE,
-                    merged_adapter=top,
-                )
-
-        if (len(starve) / max_bs <= 0.5
-                and len(merge_reqs) / max_bs > 0.5):
-            if not starve:
-                # Line 6-8: pure merged execution of the popular adapter.
-                return SchedulerDecision(
-                    batch=merge_reqs[:max_bs],
-                    mode=InferenceMode.MERGED,
-                    merged_adapter=top,
-                )
-            # Line 9-12: mixture — starving requests run via deLoRA
-            # alongside the merged majority.
-            starve_ids = {r.request_id for r in starve}
-            fill = [
-                r for r in merge_reqs if r.request_id not in starve_ids
-            ][:slots_after_starve]
-            return SchedulerDecision(
-                batch=(starve + fill)[:max_bs],
-                mode=InferenceMode.MIXTURE,
-                merged_adapter=top,
-            )
-        # Line 13-15: unmerged — starving first, then FCFS fill.
-        starve_ids = {r.request_id for r in starve}
-        rest = self._fcfs(
-            [r for r in candidates if r.request_id not in starve_ids],
-            presorted,
-        )
-        batch = (starve + rest)[:max_bs]
-        return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
-
-    def _schedule_fast(self, candidates, ctx):
-        """O(log n + batch) twin of :meth:`schedule` for ordered input.
-
-        Decision-identical to the full pass when ``candidates`` are
-        FCFS-ordered and ``ctx.adapter_counts`` mirrors them: the starve
-        set is the bisected prefix, ``merge_reqs`` tallies come from the
-        counts, and every batch is assembled by early-exit scans instead
-        of whole-queue list comprehensions.  Credits are not written
-        here — :meth:`refresh_credits` recomputes them on demand.
-        """
-        max_bs = ctx.max_batch_size
-        n = len(candidates)
-        num_starve = self._starve_prefix_len(candidates, ctx)
-        num_merge_total = 0
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        if top is not None:
-            num_merge_total = ctx.adapter_counts.get(top, 0)
-
         if not num_starve and num_merge_total == n:
-            # All candidates share one adapter and nothing starves.
             return SchedulerDecision(
                 batch=list(candidates[:max_bs]),
                 mode=InferenceMode.MERGED,
@@ -415,8 +352,9 @@ class VLoRAPolicy(SchedulingPolicy):
             )
 
         def mixture_decision():
-            # Non-starving merge requests all live past the starve
-            # prefix, so the fill scan starts there.
+            # Starving requests run via deLoRA alongside the merged
+            # majority.  Non-starving merge requests all live past the
+            # starve prefix, so the fill scan starts there.
             starve = list(candidates[:num_starve])
             fill = self._first_matching(
                 candidates, top, max(0, max_bs - num_starve),
@@ -428,7 +366,12 @@ class VLoRAPolicy(SchedulingPolicy):
                 merged_adapter=top,
             )
 
-        if (ctx.current_merged == top and num_merge_total
+        # Principle (2) hysteresis: while the popular adapter is already
+        # merged, leaving merged mode costs an un-merge; stay merged as
+        # long as nothing starves, and rescue starving minorities via
+        # mixture (whose switch from merged is free) before considering
+        # unmerged mode.
+        if (ctx.current_merged == top
                 and ctx.current_mode in (InferenceMode.MERGED,
                                          InferenceMode.MIXTURE)):
             if not num_starve:
@@ -436,13 +379,14 @@ class VLoRAPolicy(SchedulingPolicy):
             if num_starve / max_bs <= 0.5:
                 return mixture_decision()
 
+        # Lines 6-12: merged, or mixture when some requests starve.
         if (num_starve / max_bs <= 0.5
                 and num_merge_total / max_bs > 0.5):
             if not num_starve:
                 return merged_decision()
             return mixture_decision()
-        # Unmerged: starving prefix first, then FCFS fill — which for
-        # ordered candidates is simply the head of the queue.
+        # Lines 13-15: unmerged — starving prefix first, then FCFS fill,
+        # which together are simply the head of the queue.
         return SchedulerDecision(
             batch=list(candidates[:max_bs]),
             mode=InferenceMode.UNMERGED,
@@ -642,41 +586,16 @@ class DLoRAPolicy(SchedulingPolicy):
         self.starvation_s = starvation_s
 
     def schedule(self, candidates, ctx):
+        """One ordered pass: the dominant-adapter share comes from the
+        adapter counts; the starvation probe touches only the oldest
+        foreign request — FCFS order makes its waiting time the maximum
+        over all of them, so one comparison decides whether any starves.
+        """
         if not candidates:
             return None
-        if ctx.candidates_fcfs and ctx.adapter_counts is not None:
-            return self._schedule_fast(candidates, ctx)
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        top_reqs = [r for r in candidates if r.adapter_id == top]
-        share = len(top_reqs) / len(candidates)
-        others_starving = any(
-            r.adapter_id != top and r.waiting_time(ctx.now) > self.starvation_s
-            for r in candidates
-        )
-        if share > self.merge_share and not others_starving:
-            return SchedulerDecision(
-                batch=self._fcfs(
-                    top_reqs, ctx.candidates_fcfs
-                )[: ctx.max_batch_size],
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-        batch = self._fcfs(
-            candidates, ctx.candidates_fcfs
-        )[: ctx.max_batch_size]
-        return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
-
-    def _schedule_fast(self, candidates, ctx):
-        """Decision-identical fast pass over FCFS-ordered candidates.
-
-        The dominant-adapter share comes from ``ctx.adapter_counts``;
-        the starvation probe touches only the oldest foreign request —
-        FCFS order makes its waiting time the maximum over all of them,
-        so one comparison decides ``any(...)``.
-        """
-        counts = ctx.adapter_counts
+        candidates, counts = self._ordered(candidates, ctx)
         top = self._top_adapter(candidates, counts)
-        num_top = counts.get(top, 0)
+        num_top = counts[top]
         n = len(candidates)
         share = num_top / n
         others_starving = False

@@ -46,11 +46,6 @@ class TestDecode:
         with pytest.raises(ValueError):
             costs.decode_seconds([0])
 
-    def test_uniform_memoized_matches_exact(self, costs):
-        a = costs.decode_seconds_uniform(8, 512)
-        b = costs.decode_seconds([512] * 8)
-        assert a == pytest.approx(b)
-
 
 class TestPrefill:
     def test_per_token_under_1ms(self, costs):

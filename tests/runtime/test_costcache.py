@@ -102,18 +102,6 @@ class TestDecodeStats:
                     lens, lm_head=lm_head, task_head_classes=classes,
                 )
 
-    def test_uniform_cache_is_per_instance(self):
-        a = IterationCostModel(QWEN_VL_7B, A100_80GB)
-        b = IterationCostModel(QWEN_VL_7B, A100_80GB, tp_degree=2)
-        a.decode_seconds_uniform(4, 128)
-        # A class-level ``@lru_cache`` would share (and cross-pollute)
-        # one table keyed without tp_degree; per-instance wrappers stay
-        # independent.
-        assert a.decode_seconds_uniform.cache_info().currsize == 1
-        assert b.decode_seconds_uniform.cache_info().currsize == 0
-        assert (a.decode_seconds_uniform(4, 128)
-                != b.decode_seconds_uniform(4, 128))
-
 
 def _run_once(system: str, seed: int, enable_cost_cache: bool,
               with_faults: bool):

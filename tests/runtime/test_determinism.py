@@ -15,6 +15,7 @@ Regenerate the snapshot after an *intentional* behaviour change with::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -67,9 +68,9 @@ def _retrieval(seed, rate_rps=14.0, duration_s=2.0, slo_s=4.0):
     ).generate()
 
 
-def _run_engine(seed):
+def _run_engine(seed, system="v-lora"):
     builder = SystemBuilder(num_adapters=4, max_batch_size=8)
-    engine = builder.build("v-lora")
+    engine = builder.build(system)
     engine.submit(_retrieval(seed))
     return _fingerprint(engine.run())
 
@@ -171,8 +172,37 @@ def _run_disagg(seed):
     return _fingerprint(server.run())
 
 
+def _run_dlora_failover(seed):
+    """dLoRA on two replicas, one of which dies mid-run.
+
+    Failover requeues stamp arrivals with the dead engine's clock, so the
+    survivor admits out of FCFS order and schedules through the policy's
+    normalizing (sort + count) entry rather than the engine's FCFS hint."""
+    injector = FaultInjector([
+        FaultSpec(FaultKind.ENGINE_FAIL, start=0.8, target="gpu-0"),
+    ])
+    builder = SystemBuilder(
+        num_adapters=4, max_batch_size=8, fault_injector=injector,
+    )
+    server = MultiGPUServer.replicate(
+        lambda: builder.build("dlora"), 2, max_requeues=3,
+    )
+    server.submit(_retrieval(seed, rate_rps=20.0))
+    return _fingerprint(server.run())
+
+
+#: The paper's baselines on a single engine: s-lora and punica price
+#: their LoRA extra cost through the grouped-GEMM model, dlora runs its
+#: own merged/unmerged switching policy.
+BASELINES = ("s-lora", "punica", "dlora", "merge-only", "unmerge-only")
+
 SCENARIOS = {
     "engine": _run_engine,
+    **{
+        f"engine_{system}": functools.partial(_run_engine, system=system)
+        for system in BASELINES
+    },
+    "dlora_failover": _run_dlora_failover,
     "cluster": _run_cluster,
     "chaos": _run_chaos,
     "autoscaled": _run_autoscaled,

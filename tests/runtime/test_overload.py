@@ -2,6 +2,7 @@
 health-aware cluster dispatch, and bounded failover requeue."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -23,11 +24,13 @@ from repro.runtime import (
     FaultInjector,
     FaultKind,
     FaultSpec,
+    InferenceMode,
     MultiGPUServer,
     ReplicaHealth,
     Request,
     RequestStatus,
 )
+from repro.runtime.scheduler import SchedulingContext
 from repro.workloads.burst import apply_load_bursts
 
 
@@ -363,6 +366,34 @@ class TestEngineBrownout:
         metrics = engine.run()
         assert metrics.brownout_forced_merges > 0
         assert metrics.mode_iterations.get("merged", 0) > 0
+
+    def test_level3_merges_hottest_adapter_oldest_first(self):
+        """The forced merge serves the adapter with the most schedulable
+        requests (ties to the smaller id), oldest first, up to MaxBS —
+        the same pick whether or not the engine's counts are handed in."""
+        builder = SystemBuilder(num_adapters=4, max_batch_size=2)
+        engine = builder.build("unmerge-only")
+        a, b, c = builder.adapter_ids[:3]
+        for adapters, want_top, want_idx in (
+            ((b, a, b, a, c), a, [1, 3]),   # a/b tie: smaller id wins
+            ((b, a, b, c, b), b, [0, 2]),   # b hottest; first two only
+        ):
+            reqs = [
+                Request(adapter_id=x, arrival_time=float(i),
+                        input_tokens=8, output_tokens=4)
+                for i, x in enumerate(adapters)
+            ]
+            for counts in (None, dict(Counter(adapters))):
+                ctx = SchedulingContext(
+                    now=10.0, current_mode=InferenceMode.UNMERGED,
+                    current_merged=None, max_batch_size=2,
+                    est_iteration_seconds=0.01, est_switch_seconds=0.0,
+                    candidates_fcfs=True, adapter_counts=counts,
+                )
+                decision = engine._force_merged_decision(reqs, ctx)
+                assert decision.mode is InferenceMode.MERGED
+                assert decision.merged_adapter == want_top
+                assert decision.batch == [reqs[i] for i in want_idx]
 
     def test_brownout_off_by_default(self):
         builder = SystemBuilder(num_adapters=4)
