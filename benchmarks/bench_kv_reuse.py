@@ -5,20 +5,18 @@ recomputing the (large) visual prefix at prefill.  This bench serves the
 same image-heavy retrieval workload with and without prefix reuse.
 """
 
+import dataclasses
+
 from _common import ms, reduction
 
 from repro.core import SystemBuilder
-from repro.runtime.engine import EngineConfig
 from repro.workloads import RetrievalWorkload
 
 
 def _build(builder, enable_reuse):
     engine = builder.build("v-lora")
-    engine.config = EngineConfig(
-        max_batch_size=engine.config.max_batch_size,
-        num_projections=engine.config.num_projections,
-        enable_prefix_reuse=enable_reuse,
-        jitter_seed=engine.config.jitter_seed,
+    engine.config = dataclasses.replace(
+        engine.config, enable_prefix_reuse=enable_reuse
     )
     return engine
 

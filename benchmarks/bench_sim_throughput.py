@@ -99,12 +99,10 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _run_engine(num_requests: int, engine_cls=None,
-                enable_cost_cache: bool = True,
+def _run_engine(num_requests: int, engine_cls,
                 ) -> Tuple[float, Dict[str, float], float]:
     """(wall seconds, comparable summary, peak RSS MiB) for one variant."""
-    builder = SystemBuilder(num_adapters=8,
-                            enable_cost_cache=enable_cost_cache)
+    builder = SystemBuilder(num_adapters=8)
     requests = _generate_trace(builder, num_requests)
     engine = builder.build("v-lora", engine_cls=engine_cls)
     engine.submit(requests)
@@ -119,18 +117,17 @@ def run_engine_bench(num_requests: int) -> Dict[str, object]:
     # ru_maxrss is a process-lifetime high-water mark, so later legs
     # report max(own footprint, everything before them).
     variants = {
-        "soa": dict(engine_cls=SoAServingEngine),
-        "optimized": dict(),
-        "cache_disabled": dict(enable_cost_cache=False),
-        "seed": dict(engine_cls=SeedServingEngine),
+        "soa": SoAServingEngine,
+        "optimized": None,
+        "seed": SeedServingEngine,
     }
     walls: Dict[str, float] = {}
     summaries: Dict[str, Dict[str, float]] = {}
     rss: Dict[str, float] = {}
-    for name, kwargs in variants.items():
+    for name, engine_cls in variants.items():
         walls[name], summaries[name], rss[name] = _run_engine(
-            num_requests, **kwargs)
-    for name in ("soa", "cache_disabled", "seed"):
+            num_requests, engine_cls)
+    for name in ("soa", "seed"):
         if summaries[name] != summaries["optimized"]:
             diff = {
                 k: (summaries["optimized"].get(k), summaries[name].get(k))
@@ -373,7 +370,7 @@ def test_sim_throughput(benchmark, results):
         ["variant", "wall (s)", "sim req/s"],
         [[name, payload["engine"]["wall_seconds"][name],
           payload["engine"]["sim_requests_per_sec"][name]]
-         for name in ("soa", "optimized", "cache_disabled", "seed")],
+         for name in ("soa", "optimized", "seed")],
     )
     results.save("sim_throughput", payload)
 

@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="N",
                        help="cProfile the run and print the top N "
                             "functions by cumulative time (default 20)")
-    serve.add_argument("--no-cost-cache", action="store_true",
-                       help="disable iteration-cost memoization (the "
-                            "reference cost path; results are identical)")
     fault = serve.add_argument_group(
         "fault injection (docs/FAULTS.md; rates are events per sim-second)"
     )
@@ -553,7 +550,6 @@ def _serve_setup(args):
                             jitter_seed=args.seed,
                             fault_injector=injector,
                             deadline_slo_factor=args.deadline_factor,
-                            enable_cost_cache=not args.no_cost_cache,
                             admission=admission,
                             brownout=brownout,
                             breaker=breaker)

@@ -33,7 +33,7 @@ from repro.kernels.cost_model import GemmCostModel
 from repro.models.config import QWEN_VL_7B, ModelConfig
 from repro.models.lora import LoRAAdapterSpec
 from repro.runtime.adapters import AdapterManager
-from repro.runtime.engine import EngineConfig, ServingEngine
+from repro.runtime.engine import NUM_PROJECTIONS, EngineConfig, ServingEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.overload import (
@@ -67,7 +67,6 @@ class SystemBuilder:
     gpu_adapter_slots: Optional[int] = None
     max_batch_size: int = 32
     theta: float = 0.5
-    num_projections: int = 2
     tensor_parallel: int = 1
     jitter_seed: Optional[int] = 0
     enable_prefix_reuse: bool = True
@@ -77,9 +76,6 @@ class SystemBuilder:
     #: Abort requests past ``deadline_slo_factor * slo_s`` (see
     #: :class:`~repro.runtime.engine.EngineConfig`).
     deadline_slo_factor: Optional[float] = None
-    #: Memoize iteration costs per batch signature (bit-identical
-    #: results; ``False`` forces the reference cost path).
-    enable_cost_cache: bool = True
     #: Overload protection (all default-off; see
     #: :mod:`repro.runtime.overload` and ``docs/FAULTS.md``).
     admission: Optional[AdmissionConfig] = None
@@ -143,14 +139,14 @@ class SystemBuilder:
                   cost_model: GemmCostModel) -> ModeSwitcher:
         if system == "dlora":
             return DLoRASwitcher(
-                self.model, cost_model, num_projections=self.num_projections
+                self.model, cost_model, num_projections=NUM_PROJECTIONS
             )
         atmm = (
             operator if isinstance(operator, ATMMOperator)
             else ATMMOperator(cost_model)
         )
         return SwiftSwitcher(
-            self.model, atmm, num_projections=self.num_projections
+            self.model, atmm, num_projections=NUM_PROJECTIONS
         )
 
     # -- assembly --------------------------------------------------------------------
@@ -208,7 +204,6 @@ class SystemBuilder:
         )
         config = EngineConfig(
             max_batch_size=self.max_batch_size,
-            num_projections=self.num_projections,
             enable_prefix_reuse=(
                 self.enable_prefix_reuse and system == "v-lora"
             ),
@@ -218,7 +213,6 @@ class SystemBuilder:
             batch_prefills=(system != "punica"),
             tensor_parallel=self.tensor_parallel,
             deadline_slo_factor=self.deadline_slo_factor,
-            enable_cost_cache=self.enable_cost_cache,
             admission=self.admission,
             brownout=self.brownout,
             breaker=self.breaker,

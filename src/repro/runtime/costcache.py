@@ -26,8 +26,13 @@ Two properties make that hold bit-for-bit:
 * **Jitter stays outside the cache.**  The LoRA operator's extra time is
   ``sample(mean, rng)``; only the deterministic mean is memoized
   (:meth:`ModeExecutor.mean_extra_seconds`) and the rng draw happens per
-  iteration in the engine, consuming the jitter stream exactly as the
-  uncached path does (zero means never sample in either path).
+  iteration in the engine, consuming the jitter stream exactly as
+  :meth:`ModeExecutor.extra_seconds` does (zero means never sample).
+
+``tests/runtime/test_phase_executors.py`` checks every iteration's
+lookup against the tower (the phase executors' ``cost_seconds`` and
+:meth:`ModeExecutor.mean_extra_seconds`), and ``test_costcache.py``
+checks whole runs against the uncached reference engine body.
 
 Hit/miss counts are written straight into the engine's
 :class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``)
@@ -117,7 +122,7 @@ class IterationCostCache:
             self.metrics.cost_cache_hits += 1
             return cached
         self.metrics.cost_cache_misses += 1
-        # Accumulate in the exact order the uncached engine adds costs
+        # Accumulate in the exact order the cost tower adds costs
         # (each prefill launch, then the decode step) so float addition
         # order — and therefore rounding — is unchanged.
         base = 0.0
@@ -173,20 +178,6 @@ class IterationCostCache:
                 self._extra.clear()
             self._extra[key] = t
         return t
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        return self.metrics.cost_cache_hits
-
-    @property
-    def misses(self) -> int:
-        return self.metrics.cost_cache_misses
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class TransferCostCache:

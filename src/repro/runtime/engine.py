@@ -61,6 +61,14 @@ from repro.runtime.switcher import ModeSwitcher
 #: retry waits the base, each further consecutive failure doubles it.
 SWAP_RETRY_BASE_S = 0.02
 SWAP_RETRY_CAP_S = 1.0
+#: LoRA-targeted projection matrices per layer.
+NUM_PROJECTIONS = 2
+#: Cached prefixes unused this long are evicted when KV runs short.
+PREFIX_TTL_S = 30.0
+#: Consecutive KV-starved iterations tolerated before shedding the
+#: lowest-credit waiting request (graceful degradation instead of a
+#: hard ``RuntimeError``).
+KV_STALL_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,8 @@ class EngineConfig:
     """Engine-level knobs."""
 
     max_batch_size: int = 32
-    num_projections: int = 2
     enable_prefix_reuse: bool = True
     jitter_seed: Optional[int] = 0
-    prefix_ttl_s: float = 30.0
     #: Batch prefills of co-arriving requests into one iteration (vLLM
     #: style).  Punica's decode-centric runtime prefills per request.
     batch_prefills: bool = True
@@ -82,14 +88,6 @@ class EngineConfig:
     #: ``deadline_slo_factor * slo_s`` (requests without an SLO are only
     #: bounded by their own ``deadline_s``).  ``None`` disables.
     deadline_slo_factor: Optional[float] = None
-    #: Consecutive KV-starved iterations tolerated before shedding the
-    #: lowest-credit waiting request (graceful degradation instead of
-    #: the former hard ``RuntimeError``).
-    kv_stall_limit: int = 8
-    #: Memoize iteration costs per :class:`BatchSignature` (bit-identical
-    #: results, large speedup).  ``False`` re-derives every iteration
-    #: through the full cost-model tower (the reference path).
-    enable_cost_cache: bool = True
     # -- overload protection (all default off; see runtime/overload.py) ----
     #: Admission control at the queue door: token-bucket rate limiting,
     #: queue-depth / KV-headroom watermarks, SLO-aware early rejection.
@@ -111,36 +109,28 @@ class EngineConfig:
             raise ValueError("tensor_parallel must be >= 1")
         if self.deadline_slo_factor is not None and self.deadline_slo_factor <= 0:
             raise ValueError("deadline_slo_factor must be positive")
-        if self.kv_stall_limit < 1:
-            raise ValueError("kv_stall_limit must be >= 1")
 
 
 class PhaseExecutor:
-    """One serving phase (prefill or decode) behind a shared protocol.
+    """Per-phase reference hooks for one serving phase (prefill or decode).
 
-    The engine's iteration loop is composed from two of these: each
-    phase carves its share out of the mixed continuous batch
+    Each phase carves its share out of the mixed continuous batch
     (:meth:`select`), contributes its part of the memoization
     :class:`BatchSignature` (:meth:`signature_fields`), prices itself
-    through the analytical cost tower (:meth:`cost_seconds` — the
-    uncached reference path), adds its per-adapter token contributions
-    to the LoRA-operator cost input (:meth:`accumulate_tokens`), and
-    applies its post-iteration request transition (:meth:`advance`).
-    Disaggregated serving (:mod:`repro.runtime.disagg`) reuses the same
-    executors, with a pool role restricting which phase an engine runs
-    to completion.
+    through the analytical cost tower (:meth:`cost_seconds`), adds its
+    per-adapter token contributions to the LoRA-operator cost input
+    (:meth:`accumulate_tokens`), and applies its post-iteration request
+    transition (:meth:`advance`).
 
-    The uncached reference path (:meth:`ServingEngine._execute_uncached`)
-    runs these hooks phase by phase.  The hot path fuses their
+    The engine's hot path does not call these hooks: it fuses their
     per-request work into one :class:`BatchScan` per iteration (the
     signature fields, the token groups and, in
     :meth:`ServingEngine._finalize`, :meth:`advance` with one batch KV
-    append); the scan must equal what the hooks compute.
-
-    Bit-identity contract: the composed executors evaluate every float
-    in the same order, and draw from the rng stream at the same points,
-    as the pre-refactor monolithic loop — the golden determinism
-    digests and the phase-executor equivalence property cover this.
+    append) and prices the batch through :class:`IterationCostCache`.
+    The hooks are the reference that tests check the scan and the cost
+    table against, iteration by iteration.  Disaggregated serving does
+    not use them either; it splits the phases with pool roles
+    (:func:`repro.runtime.disagg.apply_pool_role`).
     """
 
     phase = "?"
@@ -161,7 +151,7 @@ class PhaseExecutor:
         raise NotImplementedError
 
     def cost_seconds(self, requests: Sequence[Request], plan) -> float:
-        """Base-model cost of this phase (uncached reference path)."""
+        """Base-model cost of this phase, through the cost tower."""
         raise NotImplementedError
 
     def accumulate_tokens(self, requests: Sequence[Request], plan,
@@ -344,7 +334,7 @@ class ServingEngine:
             tp_degree=config.tensor_parallel,
         )
         self.mode_exec = ModeExecutor(
-            model, operator, num_projections=config.num_projections
+            model, operator, num_projections=NUM_PROJECTIONS
         )
         self.clock = SimClock()
         self.metrics = MetricsCollector()
@@ -427,10 +417,8 @@ class ServingEngine:
         #: EWMA of iteration wall time — the cluster's straggler signal.
         self.iter_time_ewma: Optional[float] = None
         # -- memoized cost layer -------------------------------------------
-        self.cost_cache: Optional[IterationCostCache] = (
-            IterationCostCache(self.iter_costs, self.mode_exec,
-                               metrics=self.metrics)
-            if config.enable_cost_cache else None
+        self.cost_cache = IterationCostCache(
+            self.iter_costs, self.mode_exec, metrics=self.metrics
         )
         self._rank_cache: Dict[str, int] = {}
         self._task_class_cache: Dict[str, int] = {}
@@ -616,9 +604,7 @@ class ServingEngine:
             # KV exhausted: let running requests drain by retrying the
             # already-admitted subset next iteration after evicting
             # stale prefixes.
-            self.kv.evict_stale_prefixes(
-                self.clock.now - self.config.prefix_ttl_s
-            )
+            self.kv.evict_stale_prefixes(self.clock.now - PREFIX_TTL_S)
             batch = [r for r in decision.batch if r.prefilled]
             if not batch:
                 # Nothing admitted and nothing running: degrade instead
@@ -872,15 +858,15 @@ class ServingEngine:
         """Degrade gracefully when no batch fits in the KV cache.
 
         First flush every cached prefix (emergency eviction), then stall
-        up to ``kv_stall_limit`` iterations so transient pressure (fault
-        windows, draining requests) can pass; only then shed the
+        up to :data:`KV_STALL_LIMIT` iterations so transient pressure
+        (fault windows, draining requests) can pass; only then shed the
         lowest-credit waiting request.  Each path either advances the
         clock or removes a request, so the engine always makes progress.
         """
         self.kv.evict_stale_prefixes(float("inf"))
         self._kv_stalls += 1
         self.metrics.kv_stall_iters += 1
-        if self._kv_stalls <= self.config.kv_stall_limit:
+        if self._kv_stalls <= KV_STALL_LIMIT:
             self.clock.advance(max(self._last_iteration_s, 1e-3))
             return
         self._kv_stalls = 0
@@ -1158,7 +1144,7 @@ class ServingEngine:
                     # wire — the cluster already charged the move).
                     if not self.kv.can_allocate(r.context_len):
                         self.kv.evict_stale_prefixes(
-                            self.clock.now - self.config.prefix_ttl_s
+                            self.clock.now - PREFIX_TTL_S
                         )
                     if not self.kv.can_allocate(r.context_len):
                         continue  # stays waiting; retried next iteration
@@ -1172,9 +1158,7 @@ class ServingEngine:
                 r.prefix_key if self.config.enable_prefix_reuse else None
             )
             if not self.kv.can_allocate(r.context_len):
-                self.kv.evict_stale_prefixes(
-                    self.clock.now - self.config.prefix_ttl_s
-                )
+                self.kv.evict_stale_prefixes(self.clock.now - PREFIX_TTL_S)
             if not self.kv.can_allocate(r.context_len):
                 continue  # stays waiting; retried next iteration
             # A preempted request re-prefills its prompt plus everything
@@ -1366,23 +1350,14 @@ class ServingEngine:
 
     def _execute(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> float:
-        """Cost one iteration over ``batch`` and return its latency."""
-        if self.cost_cache is not None:
-            return self._execute_cached(batch, mode, merged)
-        return self._execute_uncached(batch, mode, merged)
-
-    def _execute_cached(self, batch: Sequence[Request],
-                        mode: InferenceMode,
-                        merged: Optional[str]) -> float:
-        """Memoized twin of :meth:`_execute_uncached`.
+        """Cost one iteration over ``batch`` and return its latency.
 
         Builds the :class:`BatchSignature` of this batch and looks up
         ``(base cost, extra-cost mean)``; only the jitter sample on the
-        extra cost runs per iteration, drawn from the same rng stream at
-        the same points as the uncached path, so runs are bit-identical
-        either way.  The signature fields and the adapter-token groups
-        (in prefill-then-decode order, the dict insertion order the
-        signature keys on) come from the iteration's :class:`BatchScan`.
+        extra cost runs per iteration.  The signature fields and the
+        adapter-token groups (in prefill-then-decode order, the dict
+        insertion order the signature keys on) come from the
+        iteration's :class:`BatchScan`.
         """
         scan = self._scan_batch(batch)
         adapter_tokens = scan.adapter_tokens
@@ -1410,37 +1385,6 @@ class ServingEngine:
         extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)
         self.metrics.lora_extra_time_total += extra
         return base + extra
-
-    def _execute_uncached(self, batch: Sequence[Request],
-                          mode: InferenceMode,
-                          merged: Optional[str]) -> float:
-        """Reference path: re-derive every cost through the model tower.
-
-        Phase costs add in prefill-then-decode order — the same float
-        evaluation order as the pre-refactor monolithic loop.
-        """
-        t = 0.0
-        adapter_tokens: Dict[str, int] = {}
-        for executor in self.phase_executors:
-            requests = executor.select(batch)
-            plan = executor.plan(requests)
-            t += executor.cost_seconds(requests, plan)
-            executor.accumulate_tokens(requests, plan, adapter_tokens)
-
-        if adapter_tokens:
-            ranks = {
-                a: self.adapters.spec(a).rank for a in adapter_tokens
-            }
-            if merged is not None:
-                ranks.setdefault(merged, self.adapters.spec(merged).rank)
-            extra = self.mode_exec.extra_seconds(
-                mode, adapter_tokens, ranks,
-                merged_adapter=merged,
-                rng=self._rng,
-            )
-            t += extra
-            self.metrics.lora_extra_time_total += extra
-        return t
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now

@@ -59,8 +59,12 @@ from repro.models.costs import IterationCostModel
 from repro.runtime import request as request_mod
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.clock import SimClock
-from repro.runtime.costcache import IterationCostCache
-from repro.runtime.engine import EngineConfig
+from repro.runtime.engine import (
+    KV_STALL_LIMIT,
+    NUM_PROJECTIONS,
+    PREFIX_TTL_S,
+    EngineConfig,
+)
 from repro.runtime.kv_cache import BlockAllocationError
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.metrics import AbortRecord, MetricsCollector, RequestRecord
@@ -267,18 +271,13 @@ class SoAServingEngine:
             tp_degree=config.tensor_parallel,
         )
         self.mode_exec = ModeExecutor(
-            model, operator, num_projections=config.num_projections
+            model, operator, num_projections=NUM_PROJECTIONS
         )
         self.clock = SimClock()
         self.metrics = MetricsCollector()
         self._rng = (
             np.random.default_rng(config.jitter_seed)
             if config.jitter_seed is not None else None
-        )
-        self.cost_cache: Optional[IterationCostCache] = (
-            IterationCostCache(self.iter_costs, self.mode_exec,
-                               metrics=self.metrics)
-            if config.enable_cost_cache else None
         )
         self.materialize_records = materialize_records
 
@@ -653,7 +652,7 @@ class SoAServingEngine:
             # KV exhausted: let running requests drain by retrying the
             # already-admitted subset next iteration after evicting
             # stale prefixes.
-            self._evict_stale(self.clock.now - self.config.prefix_ttl_s)
+            self._evict_stale(self.clock.now - PREFIX_TTL_S)
             db = decision.batch
             batch = db[self._prefilled_f[db]]
             prefilled_b = None
@@ -871,7 +870,7 @@ class SoAServingEngine:
             ctx = int(self._inp[i]) + int(self._gen[i])
             need_full = self._blocks_for(ctx)
             if need_full > self._free_blocks:
-                self._evict_stale(now - self.config.prefix_ttl_s)
+                self._evict_stale(now - PREFIX_TTL_S)
             if need_full > self._free_blocks:
                 keep[j] = False  # stays waiting; retried next iteration
                 dropped = True
@@ -970,7 +969,7 @@ class SoAServingEngine:
         self._evict_stale(float("inf"))
         self._kv_stalls += 1
         self.metrics.kv_stall_iters += 1
-        if self._kv_stalls <= self.config.kv_stall_limit:
+        if self._kv_stalls <= KV_STALL_LIMIT:
             self.clock.advance(max(self._last_iteration_s, 1e-3))
             return
         self._kv_stalls = 0
@@ -1061,9 +1060,7 @@ class SoAServingEngine:
         # order (prefills first, then decodes — batch order).
         atok: Dict[int, int] = {}
         launches: tuple = ()
-        effective: List[int] = []
         if prefilled_b is None:
-            prefills = batch[:0]
             decodes = batch
             ctxd = ctx_b
         else:
@@ -1117,109 +1114,66 @@ class SoAServingEngine:
                 for a in ad.tolist():
                     atok[a] = atok.get(a, 0) + 1
 
-        if self.cost_cache is not None:
-            # The SoA path bypasses the BatchSignature table: at array-
-            # pool scale full signatures almost never repeat (the decode
-            # context total shifts every iteration; measured hit rate
-            # 0.2%), so the signature build + hash is pure overhead.
-            # The component memos below are keyed on the same sufficient
-            # statistics :class:`IterationCostCache` uses and accumulate
-            # in the same order (prefill launches, then decode, extra
-            # last), so costs stay bit-identical.  Hit/miss counters
-            # track the expensive component — the LoRA extra-mean tower.
-            base = 0.0
-            if launches:
-                pf = self._prefill_cache
-                for key in launches:
-                    t = pf.get(key)
-                    if t is None:
-                        t = self.iter_costs.prefill_seconds(key[0], key[1])
-                        if len(pf) >= _MEMO_MAX:
-                            pf.clear()
-                        pf[key] = t
-                    base += t
-            if num_decodes:
-                dkey = (num_decodes, total_context, lm, head_classes)
-                dc = self._decode_cache
-                t = dc.get(dkey)
+        # The SoA path bypasses the BatchSignature table: on its
+        # decode-heavy array-pool traces full signatures almost never
+        # repeat (the decode context total shifts every iteration;
+        # measured hit rate 0.2%), so the signature build + hash is
+        # pure overhead.  The component memos below are keyed on the
+        # same sufficient statistics :class:`IterationCostCache` uses
+        # and accumulate in the same order (prefill launches, then
+        # decode, extra last), so costs stay bit-identical.  Hit/miss
+        # counters track the expensive component — the LoRA extra-mean
+        # tower.
+        base = 0.0
+        if launches:
+            pf = self._prefill_cache
+            for key in launches:
+                t = pf.get(key)
                 if t is None:
-                    t = self.iter_costs.decode_seconds_stats(
-                        num_decodes, total_context, lm_head=lm,
-                        task_head_classes=head_classes,
-                    )
-                    if len(dc) >= _MEMO_MAX:
-                        dc.clear()
-                    dc[dkey] = t
+                    t = self.iter_costs.prefill_seconds(key[0], key[1])
+                    if len(pf) >= _MEMO_MAX:
+                        pf.clear()
+                    pf[key] = t
                 base += t
-            if not atok:
-                return base
-            ekey = (mode, merged, tuple(atok.items()))
-            ec = self._extra_cache
-            mean = ec.get(ekey)
-            if mean is None:
-                self.metrics.cost_cache_misses += 1
-                table = self._adapter_table
-                merged_id = table[merged] if merged >= 0 else None
-                adapter_tokens = {table[a]: t for a, t in atok.items()}
-                ranks = {
-                    table[a]: int(self._spec_rank[a]) for a in atok
-                }
-                if merged_id is not None and merged not in atok:
-                    ranks[merged_id] = int(self._spec_rank[merged])
-                mean = self.mode_exec.mean_extra_seconds(
-                    mode, adapter_tokens, ranks, merged_adapter=merged_id
+        if num_decodes:
+            dkey = (num_decodes, total_context, lm, head_classes)
+            dc = self._decode_cache
+            t = dc.get(dkey)
+            if t is None:
+                t = self.iter_costs.decode_seconds_stats(
+                    num_decodes, total_context, lm_head=lm,
+                    task_head_classes=head_classes,
                 )
-                if len(ec) >= _MEMO_MAX:
-                    ec.clear()
-                ec[ekey] = mean
-            else:
-                self.metrics.cost_cache_hits += 1
-            extra = self.mode_exec.extra_seconds_from_mean(mean, self._rng)
-            self.metrics.lora_extra_time_total += extra
-            return base + extra
-        table = self._adapter_table
-        return self._execute_uncached(
-            mode, table[merged] if merged >= 0 else None, prefills,
-            effective, ctxd if num_decodes else None, lm, head_classes,
-            {table[a]: t for a, t in atok.items()},
-        )
-
-    def _execute_uncached(self, mode, merged_id, prefills, effective,
-                          ctxd, lm, head_classes,
-                          adapter_tokens) -> float:
-        """Reference path (cache off): same cost-model calls, same
-        float-accumulation order as the object core's uncached twin."""
-        t = 0.0
-        if prefills.size:
-            images = self._num_images[prefills]
-            if self.config.batch_prefills:
-                t += self.iter_costs.prefill_seconds(
-                    effective, int(images.sum())
-                )
-            else:
-                for tok, im in zip(effective, images.tolist()):
-                    t += self.iter_costs.prefill_seconds([tok], im)
-        if ctxd is not None:
-            t += self.iter_costs.decode_seconds(
-                ctxd.tolist(), lm_head=lm, task_head_classes=head_classes
-            )
-        if adapter_tokens:
-            idx = self._adapter_index
+                if len(dc) >= _MEMO_MAX:
+                    dc.clear()
+                dc[dkey] = t
+            base += t
+        if not atok:
+            return base
+        ekey = (mode, merged, tuple(atok.items()))
+        ec = self._extra_cache
+        mean = ec.get(ekey)
+        if mean is None:
+            self.metrics.cost_cache_misses += 1
+            table = self._adapter_table
+            merged_id = table[merged] if merged >= 0 else None
+            adapter_tokens = {table[a]: t for a, t in atok.items()}
             ranks = {
-                a: int(self._spec_rank[idx[a]]) for a in adapter_tokens
+                table[a]: int(self._spec_rank[a]) for a in atok
             }
-            if merged_id is not None:
-                ranks.setdefault(merged_id, int(
-                    self._spec_rank[idx[merged_id]]
-                ))
-            extra = self.mode_exec.extra_seconds(
-                mode, adapter_tokens, ranks,
-                merged_adapter=merged_id,
-                rng=self._rng,
+            if merged_id is not None and merged not in atok:
+                ranks[merged_id] = int(self._spec_rank[merged])
+            mean = self.mode_exec.mean_extra_seconds(
+                mode, adapter_tokens, ranks, merged_adapter=merged_id
             )
-            t += extra
-            self.metrics.lora_extra_time_total += extra
-        return t
+            if len(ec) >= _MEMO_MAX:
+                ec.clear()
+            ec[ekey] = mean
+        else:
+            self.metrics.cost_cache_hits += 1
+        extra = self.mode_exec.extra_seconds_from_mean(mean, self._rng)
+        self.metrics.lora_extra_time_total += extra
+        return base + extra
 
     # -- finalize (masked pass) -----------------------------------------------
 

@@ -2,10 +2,13 @@
 
 The cache's contract (see ``repro/runtime/costcache.py``) is that it may
 only change wall-clock time, never simulated results.  The property
-tests here run the same workload through the memoized and reference cost
-paths and require the final clock, every per-request timestamp, and the
-whole metrics summary to match to full float precision — across
-systems, seeds, and fault schedules.
+tests here run the same workload through the engine and through an
+engine whose cost step is the uncached reference body
+(``MonolithicEngine._execute_uncached``, which re-derives every
+iteration through the full cost-model tower), and require the final
+clock, every per-request timestamp, and the whole metrics summary to
+match to full float precision — across systems, seeds, and fault
+schedules.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from repro.models.config import QWEN_VL_7B
 from repro.models.costs import IterationCostModel
 from repro.hardware.gpu import A100_80GB
 from repro.runtime.costcache import BatchSignature, IterationCostCache
+from repro.runtime.engine import ServingEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
+from tests.runtime.test_phase_executors import MonolithicEngine
 
 
 def _signature(**overrides) -> BatchSignature:
@@ -51,16 +56,15 @@ class TestIterationCostCache:
         first = cache.lookup(sig)
         second = cache.lookup(sig)
         assert first == second
-        assert (cache.hits, cache.misses) == (1, 1)
         assert cache.metrics.cost_cache_hits == 1
         assert cache.metrics.cost_cache_misses == 1
-        assert cache.hit_rate() == 0.5
 
     def test_distinct_signatures_miss(self):
         cache = self._cache()
         cache.lookup(_signature())
         cache.lookup(_signature(decode_context_total=301))
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.metrics.cost_cache_hits == 0
+        assert cache.metrics.cost_cache_misses == 2
 
     def test_base_matches_direct_cost_model(self):
         cache = self._cache()
@@ -103,8 +107,13 @@ class TestDecodeStats:
                 )
 
 
-def _run_once(system: str, seed: int, enable_cost_cache: bool,
-              with_faults: bool):
+class UncachedEngine(ServingEngine):
+    """The engine with its cost step swapped for the uncached reference."""
+
+    _execute = MonolithicEngine._execute_uncached
+
+
+def _run_once(system: str, seed: int, engine_cls, with_faults: bool):
     injector = None
     if with_faults:
         injector = FaultInjector.random(
@@ -115,14 +124,13 @@ def _run_once(system: str, seed: int, enable_cost_cache: bool,
         )
     builder = SystemBuilder(num_adapters=8, gpu_adapter_slots=4,
                             jitter_seed=seed,
-                            fault_injector=injector,
-                            enable_cost_cache=enable_cost_cache)
+                            fault_injector=injector)
     reset_request_ids()
     requests = RetrievalWorkload(
         builder.adapter_ids, rate_rps=12.0, duration_s=25.0,
         use_task_heads=(system == "v-lora"), seed=seed,
     ).generate()
-    engine = builder.build(system)
+    engine = builder.build(system, engine_cls=engine_cls)
     engine.submit(requests)
     metrics = engine.run()
     summary = metrics.summary()
@@ -136,28 +144,28 @@ def _run_once(system: str, seed: int, enable_cost_cache: bool,
 
 
 class TestCacheEquivalence:
-    """Memoized runs are bit-identical to the reference cost path."""
+    """Memoized runs are bit-identical to the uncached reference body."""
 
     @pytest.mark.parametrize("system", ["v-lora", "s-lora", "punica",
                                         "dlora"])
     def test_systems(self, system):
-        assert (_run_once(system, seed=3, enable_cost_cache=True,
+        assert (_run_once(system, seed=3, engine_cls=None,
                           with_faults=False)
-                == _run_once(system, seed=3, enable_cost_cache=False,
+                == _run_once(system, seed=3, engine_cls=UncachedEngine,
                              with_faults=False))
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_seeds(self, seed):
-        assert (_run_once("v-lora", seed=seed, enable_cost_cache=True,
+        assert (_run_once("v-lora", seed=seed, engine_cls=None,
                           with_faults=False)
-                == _run_once("v-lora", seed=seed, enable_cost_cache=False,
+                == _run_once("v-lora", seed=seed, engine_cls=UncachedEngine,
                              with_faults=False))
 
     @pytest.mark.parametrize("system", ["v-lora", "dlora"])
     def test_fault_schedules(self, system):
-        cached = _run_once(system, seed=5, enable_cost_cache=True,
+        cached = _run_once(system, seed=5, engine_cls=None,
                            with_faults=True)
-        assert cached == _run_once(system, seed=5, enable_cost_cache=False,
+        assert cached == _run_once(system, seed=5, engine_cls=UncachedEngine,
                                    with_faults=True)
 
     def test_cache_actually_engages(self):

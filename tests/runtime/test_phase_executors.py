@@ -1,17 +1,20 @@
-"""The composed phase-executor engine is the old monolithic loop, bit for bit.
+"""The engine's fused hot path is the old monolithic loop, bit for bit.
 
-The engine's iteration loop was refactored from one monolithic body
-into :class:`PrefillExecutor` / :class:`DecodeExecutor` behind the
-:class:`PhaseExecutor` protocol (and the disaggregated runtime builds
-on that seam).  The contract is *bit-identity*: every float evaluated
-in the same order, every rng draw at the same point, so the composed
-engine reproduces the pre-refactor engine exactly.
+The engine's iteration loop was once one monolithic body; it now reads
+each batch once (:class:`BatchScan`) and prices it through the
+memoized cost table (:class:`IterationCostCache`).
+:class:`PrefillExecutor` / :class:`DecodeExecutor` keep the per-phase
+reference hooks.  The contract is *bit-identity*: every float evaluated
+in the same order, every rng draw at the same point, so the engine
+reproduces the pre-refactor engine exactly.
 
 ``MonolithicEngine`` below carries the pre-refactor ``_execute_cached``
 / ``_execute_uncached`` / ``_finalize`` bodies **verbatim** (recovered
-from git history); a hypothesis property drives both engines over
-arbitrary bounded workloads — systems x seeds x fault menus x cache
-on/off — and compares full digests.
+from git history); a hypothesis property drives the engine and the
+monolithic reference over arbitrary bounded workloads — systems x
+seeds x fault menus x the reference's cached or uncached cost body —
+and compares full digests.  ``_execute_uncached`` is also the uncached
+reference of ``test_costcache.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SystemBuilder
+from repro.models.config import QWEN_VL_7B
+from repro.models.lora import LoRAAdapterSpec
 from repro.runtime import FaultInjector, reset_request_ids
 from repro.runtime.costcache import BatchSignature
 from repro.runtime.engine import ServingEngine
@@ -37,10 +42,13 @@ from typing import Dict, List, Optional, Sequence
 class MonolithicEngine(ServingEngine):
     """The pre-refactor engine: one body per concern, no executors.
 
-    The three method bodies below are copied verbatim from the last
-    monolithic revision of ``repro/runtime/engine.py``; do not "clean
-    them up" — their value is being the historical reference.
+    The three method bodies below ``_execute`` are copied verbatim from
+    the last monolithic revision of ``repro/runtime/engine.py``; do not
+    "clean them up" — their value is being the historical reference.
     """
+
+    def _execute(self, batch, mode, merged):
+        return self._execute_cached(batch, mode, merged)
 
     def _execute_cached(self, batch: Sequence[Request],
                         mode: InferenceMode,
@@ -198,6 +206,13 @@ class MonolithicEngine(ServingEngine):
                 self.metrics.complete(r)
 
 
+class UncachedMonolithicEngine(MonolithicEngine):
+    """The monolithic engine on its uncached cost body."""
+
+    def _execute(self, batch, mode, merged):
+        return self._execute_uncached(batch, mode, merged)
+
+
 FAULT_MENUS = (
     None,
     dict(swap_fail_rate=0.6, swap_slow_rate=0.4),
@@ -207,14 +222,18 @@ FAULT_MENUS = (
 )
 
 
-def _digest(metrics):
-    """Fully comparable form of a run — *including* cache counters.
+def _digest(metrics, counters: bool):
+    """Fully comparable form of a run.
 
-    Unlike the SoA equivalence digest, the monolithic engine memoizes
-    through the exact same signature table, so even the hit/miss
-    counters must agree.
+    Unlike the SoA equivalence digest, the cached monolithic body
+    memoizes through the exact same signature table, so even the
+    hit/miss counters must agree (``counters``); the uncached body never
+    probes the table, so its digest leaves them out.
     """
     summary = dict(metrics.summary())
+    if not counters:
+        summary.pop("cost_cache_hits", None)
+        summary.pop("cost_cache_misses", None)
     records = sorted(
         (dataclasses.astuple(r) for r in metrics.records),
         key=lambda t: t[0],
@@ -238,8 +257,7 @@ def _run(system, engine_cls, *, seed, rate, task_heads, cache, fault_menu):
         )
     builder = SystemBuilder(
         num_adapters=4, gpu_adapter_slots=2, max_batch_size=8,
-        fault_injector=injector, enable_cost_cache=cache,
-        deadline_slo_factor=4.0,
+        fault_injector=injector, deadline_slo_factor=4.0,
     )
     reset_request_ids()
     requests = RetrievalWorkload(
@@ -248,7 +266,7 @@ def _run(system, engine_cls, *, seed, rate, task_heads, cache, fault_menu):
     ).generate()
     engine = builder.build(system, engine_cls=engine_cls)
     engine.submit(requests)
-    return _digest(engine.run())
+    return _digest(engine.run(), counters=cache)
 
 
 @pytest.mark.property
@@ -266,13 +284,12 @@ def test_composed_equals_monolithic(seed, system, rate, task_heads,
                                     cache, fault_menu):
     kw = dict(seed=seed, rate=rate, task_heads=task_heads, cache=cache,
               fault_menu=fault_menu)
-    composed = _run(system, None, **kw)
-    monolithic = _run(system, MonolithicEngine, **kw)
-    assert composed == monolithic
+    reference = MonolithicEngine if cache else UncachedMonolithicEngine
+    assert _run(system, None, **kw) == _run(system, reference, **kw)
 
 
 def test_executors_compose_the_engine():
-    """The seam the disaggregated runtime relies on actually exists."""
+    """The engine carries one reference executor per phase, in order."""
     engine = SystemBuilder(num_adapters=2).build("v-lora")
     prefill, decode = engine.phase_executors
     assert prefill.phase == "prefill"
@@ -282,16 +299,30 @@ def test_executors_compose_the_engine():
 
 
 class ScanCheckedEngine(ServingEngine):
-    """Checks every cached iteration's fused :class:`BatchScan` against
-    the phase executors' per-request hooks it replaces."""
+    """Checks every iteration's fused :class:`BatchScan` against the
+    phase executors' per-request hooks it replaces, and the cost
+    table's answer against the cost tower it memoizes."""
 
-    def _execute_cached(self, batch, mode, merged):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scans_checked = 0
+        lookup = self.cost_cache.lookup
+
+        def recorded(sig):
+            self.looked_up = lookup(sig)
+            return self.looked_up
+
+        self.cost_cache.lookup = recorded
+
+    def _execute(self, batch, mode, merged):
         fields: Dict[str, object] = {}
         tokens: Dict[str, int] = {}
+        base = 0.0
         for executor in self.phase_executors:
             requests = executor.select(batch)
             plan = executor.plan(requests)
             fields.update(executor.signature_fields(requests, plan))
+            base += executor.cost_seconds(requests, plan)
             executor.accumulate_tokens(requests, plan, tokens)
         scan = self._scan_batch(batch)
         assert fields == {
@@ -306,20 +337,45 @@ class ScanCheckedEngine(ServingEngine):
         assert scan.new_blocks == sum(
             1 for r in batch if r.context_len % block == 0)
         assert scan.seq_ids == [r.request_id for r in batch]
-        self.scans_checked = getattr(self, "scans_checked", 0) + 1
-        return super()._execute_cached(batch, mode, merged)
+
+        self.looked_up = None
+        latency = super()._execute(batch, mode, merged)
+        extra_mean = 0.0
+        if tokens:
+            ranks = {a: self.adapters.spec(a).rank for a in tokens}
+            if merged is not None:
+                ranks.setdefault(merged, self.adapters.spec(merged).rank)
+            extra_mean = self.mode_exec.mean_extra_seconds(
+                mode, tokens, ranks, merged_adapter=merged)
+        # Bit-equal, whether the table hit or fell through to its
+        # component memos.
+        assert self.looked_up == (base, extra_mean)
+        self.scans_checked += 1
+        return latency
 
 
 @pytest.mark.parametrize("system", ["v-lora", "punica", "dlora"])
 @pytest.mark.parametrize("task_heads", [False, True])
 def test_batch_scan_equals_executor_hooks(system, task_heads):
-    builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=2,
+    # Distinct ranks and head sizes per adapter, and task-head requests
+    # that also decode, so a cost-table key missing a field collides on
+    # batches the tower prices differently.
+    specs = tuple(
+        LoRAAdapterSpec(f"lora-{i}", QWEN_VL_7B, rank=rank,
+                        task_head_classes=classes)
+        for i, (rank, classes) in enumerate(
+            ((16, 0), (32, 10), (64, 101), (128, 365)))
+    )
+    builder = SystemBuilder(adapter_specs=specs, gpu_adapter_slots=2,
                             max_batch_size=8)
     reset_request_ids()
     requests = RetrievalWorkload(
         builder.adapter_ids, rate_rps=10.0, duration_s=10.0, seed=3,
-        use_task_heads=task_heads,
+        use_task_heads=task_heads, adapter_burst=4,
     ).generate()
+    for r in requests:
+        if r.use_task_head:
+            r.output_tokens = 3
     engine = builder.build(system, engine_cls=ScanCheckedEngine)
     engine.submit(requests)
     engine.run()

@@ -206,18 +206,6 @@ def test_kv_invariants_hold_every_step():
     assert engine.metrics.num_preemptions > 0
 
 
-# -- cache toggle -------------------------------------------------------------
-
-
-def test_soa_cache_toggle_identity():
-    wl_kw = dict(rate_rps=8.0, duration_s=20.0, seed=3)
-    _, on = _run("v-lora", dict(num_adapters=4), wl_kw, "soa")
-    _, off = _run("v-lora",
-                  dict(num_adapters=4, enable_cost_cache=False),
-                  wl_kw, "soa")
-    assert on == off
-
-
 # -- unsupported configurations ----------------------------------------------
 
 
