@@ -31,9 +31,9 @@ from repro.kernels.baseline_ops import (
 )
 from repro.kernels.cost_model import GemmCostModel
 from repro.models.config import QWEN_VL_7B, ModelConfig
-from repro.models.lora import LoRAAdapterSpec
+from repro.models.lora import NUM_PROJECTIONS, LoRAAdapterSpec
 from repro.runtime.adapters import AdapterManager
-from repro.runtime.engine import NUM_PROJECTIONS, EngineConfig, ServingEngine
+from repro.runtime.engine import EngineConfig, ServingEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.overload import (

@@ -24,6 +24,7 @@ from repro.kernels.base import LoRAOperator
 from repro.kernels.cost_model import GemmCostModel
 from repro.kernels.search import OptimalTilingTable, TilingSearch, default_table
 from repro.kernels.shapes import GemmShape, GroupedGemm
+from repro.models.lora import NUM_PROJECTIONS
 
 
 class ATMMOperator(LoRAOperator):
@@ -144,7 +145,7 @@ class ATMMOperator(LoRAOperator):
         num_layers: int,
         hidden_dim: int,
         rank: int,
-        num_projections: int = 4,
+        num_projections: int = NUM_PROJECTIONS,
         fuse_merge: bool = True,
     ) -> float:
         """One-shot all-layer ΔW = B x A, optionally fused with the merge add.

@@ -17,6 +17,7 @@ import numpy as np
 from repro.hardware.memory import FP16_BYTES
 from repro.kernels.cost_model import GemmCostModel
 from repro.kernels.shapes import lora_gemm_shapes
+from repro.models.lora import NUM_PROJECTIONS
 
 
 class LoRAOperator(abc.ABC):
@@ -68,7 +69,7 @@ class LoRAOperator(abc.ABC):
         token_counts: Sequence[int],
         ranks: Sequence[int],
         hidden_dim: int,
-        num_projections: int = 4,
+        num_projections: int = NUM_PROJECTIONS,
     ) -> float:
         """Full extra latency one transformer layer pays for unmerged LoRA."""
         total = sum(token_counts)

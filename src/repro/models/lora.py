@@ -20,6 +20,10 @@ from repro.models.config import ModelConfig
 
 #: Default rank used throughout the paper's evaluation (§6.1).
 DEFAULT_RANK = 64
+#: LoRA-targeted projection matrices per layer (q and v, the classic
+#: recipe): the default of every adapter spec, operator, switcher and
+#: mode executor, and the count the serving engine prices with.
+NUM_PROJECTIONS = 2
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,9 @@ class LoRAAdapterSpec:
     rank:
         Low-rank dimension ``r``.
     num_projections:
-        LoRA-targeted projection matrices per layer.  The default of 2
-        (q and v, the classic recipe) best reconciles the paper's own
+        LoRA-targeted projection matrices per layer.  The default
+        :data:`NUM_PROJECTIONS` (q and v, the classic recipe) best
+        reconciles the paper's own
         size and latency arithmetic (43 MB adapters, ~3 GB ΔW per
         adapter, 53 ms dLoRA switch, <10 ms swift switch).
     task_head_classes:
@@ -47,7 +52,7 @@ class LoRAAdapterSpec:
     adapter_id: str
     model: ModelConfig
     rank: int = DEFAULT_RANK
-    num_projections: int = 2
+    num_projections: int = NUM_PROJECTIONS
     task_head_classes: int = 0
 
     def __post_init__(self) -> None:

@@ -5,9 +5,18 @@ The engine's hot loop used to re-derive every iteration's latency through
 even though the result is a pure function of a small amount of batch
 shape information.  This module names that information — the
 :class:`BatchSignature` — and caches the derived costs per distinct
-signature, so steady-state serving (where the same batch shapes recur
-thousands of times) pays one dict lookup instead of the full cost-model
-tower.
+signature, so a batch shape that recurs pays one table probe instead of
+the full cost-model tower.
+
+The table has two levels.  A :class:`CostRow` holds every signature
+that differs only in ``decode_context_total``, keyed by the rest of the
+signature; its cells are keyed by the context total.  A decode batch
+that repeats moves only its context total, one token per member per
+iteration, so it stays in one row: the engine's steady decode steps
+hold that row and read their cell directly
+(:meth:`IterationCostCache.cell`) without building a signature.  The
+row also keeps the extra-cost mean, which does not depend on the
+context total, once its first miss has computed it.
 
 Losslessness
 ------------
@@ -30,18 +39,23 @@ Two properties make that hold bit-for-bit:
   :meth:`ModeExecutor.extra_seconds` does (zero means never sample).
 
 ``tests/runtime/test_phase_executors.py`` checks every iteration's
-lookup against the tower (the phase executors' ``cost_seconds`` and
-:meth:`ModeExecutor.mean_extra_seconds`), and ``test_costcache.py``
-checks whole runs against the uncached reference engine body.
+lookup, and every steady step's cell, against the tower (the phase
+executors' ``cost_seconds`` and :meth:`ModeExecutor.mean_extra_seconds`),
+and ``test_costcache.py`` checks whole runs against the uncached
+reference engine body.
 
 Hit/miss counts are written straight into the engine's
 :class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``)
-so cache effectiveness shows up in every summary and bench dump.
+so cache effectiveness shows up in every summary and bench dump.  Every
+cell probe counts once, from :meth:`IterationCostCache.lookup` or a
+steady step alike, and the table clears when its cell count reaches
+``max_entries``, so the counts equal those of one flat table keyed on
+the whole signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.models.costs import IterationCostModel
@@ -84,14 +98,42 @@ class BatchSignature:
     adapter_ranks: Tuple[Tuple[str, int], ...]
 
 
+def row_key(sig: BatchSignature) -> tuple:
+    """The :class:`CostRow` key of a signature: all of it but
+    ``decode_context_total``, in field order."""
+    return (sig.mode, sig.merged_adapter, sig.prefill_launches,
+            sig.num_decodes, sig.lm_head, sig.task_head_classes,
+            sig.adapter_groups, sig.adapter_ranks)
+
+
+@dataclass(slots=True)
+class CostRow:
+    """The cached costs of every signature sharing one :func:`row_key`.
+
+    ``cells`` maps ``decode_context_total`` to ``(base_seconds,
+    extra_mean_seconds)``.  ``generation`` is the table generation the
+    row belongs to: a holder of a row from before a clear finds it
+    stale and is served from the live table instead.
+    """
+
+    key: tuple
+    generation: int
+    cells: Dict[int, Tuple[float, float]] = field(default_factory=dict)
+    #: The extra-cost mean (independent of the context total), once a
+    #: miss in this row has computed it.
+    extra_mean: Optional[float] = None
+
+
 class IterationCostCache:
     """Signature -> ``(base_seconds, extra_mean_seconds)`` memo table.
 
-    A top-level table keyed on the full :class:`BatchSignature` makes the
-    steady-state hit a single dict probe; misses fall back to component
-    tables (prefill launch, decode stats, mode-extra mean) that share
-    work across signatures differing only in one component.  Tables are
-    cleared wholesale when they exceed ``max_entries`` — memoization is
+    A two-level table (rows, then cells; see the module doc) makes a
+    repeated signature one probe per level.  A miss prices the base
+    cost through component tables (prefill launch, decode stats) that
+    share work across signatures differing only in one component, and
+    takes the extra-cost mean from its row, computed on the row's first
+    miss.  Tables are cleared wholesale when they exceed
+    ``max_entries`` (for the signature table: cells) — memoization is
     an optimization, not state, so dropping it is always safe.
     """
 
@@ -110,30 +152,61 @@ class IterationCostCache:
         self.mode_exec = mode_exec
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.max_entries = max_entries
-        self._table: Dict[BatchSignature, Tuple[float, float]] = {}
+        self._rows: Dict[tuple, CostRow] = {}
+        self._cells = 0
+        #: Bumped by every clear of the signature table.
+        self.generation = 0
         self._prefill: Dict[Tuple[Tuple[int, ...], int], float] = {}
         self._decode: Dict[Tuple[int, int, bool, int], float] = {}
-        self._extra: Dict[tuple, float] = {}
 
     def lookup(self, sig: BatchSignature) -> Tuple[float, float]:
         """Return ``(base_seconds, extra_mean_seconds)`` for a signature."""
-        cached = self._table.get(sig)
+        return self.cell(self.row(row_key(sig)), sig.decode_context_total)
+
+    def row(self, key: tuple) -> CostRow:
+        """The live row of a :func:`row_key`, created empty if absent."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = CostRow(key, self.generation)
+        return row
+
+    def cell(self, row: CostRow, context_total: int) -> Tuple[float, float]:
+        """Return one cell of ``row``, pricing it on a miss.
+
+        ``row`` may be held across calls; one from before a clear is
+        replaced by the live row of its key.
+        """
+        if row.generation != self.generation:
+            row = self.row(row.key)
+        cached = row.cells.get(context_total)
         if cached is not None:
             self.metrics.cost_cache_hits += 1
             return cached
         self.metrics.cost_cache_misses += 1
+        (mode, merged, launches, num_decodes, lm_head, head_classes,
+         groups, ranks) = row.key
         # Accumulate in the exact order the cost tower adds costs
         # (each prefill launch, then the decode step) so float addition
         # order — and therefore rounding — is unchanged.
         base = 0.0
-        for tokens, images in sig.prefill_launches:
+        for tokens, images in launches:
             base += self._prefill_seconds(tokens, images)
-        if sig.num_decodes:
-            base += self._decode_seconds(sig)
-        extra_mean = self._extra_mean(sig) if sig.adapter_groups else 0.0
-        if len(self._table) >= self.max_entries:
-            self._table.clear()
-        self._table[sig] = (base, extra_mean)
+        if num_decodes:
+            base += self._decode_seconds(
+                num_decodes, context_total, lm_head, head_classes)
+        extra_mean = row.extra_mean
+        if extra_mean is None:
+            extra_mean = self.mode_exec.mean_extra_seconds(
+                mode, dict(groups), dict(ranks), merged_adapter=merged,
+            ) if groups else 0.0
+        if self._cells >= self.max_entries:
+            self._rows = {}
+            self._cells = 0
+            self.generation += 1
+            row = self.row(row.key)
+        row.extra_mean = extra_mean
+        row.cells[context_total] = (base, extra_mean)
+        self._cells += 1
         return base, extra_mean
 
     # -- component tables ---------------------------------------------------------
@@ -148,35 +221,18 @@ class IterationCostCache:
             self._prefill[key] = t
         return t
 
-    def _decode_seconds(self, sig: BatchSignature) -> float:
-        key = (sig.num_decodes, sig.decode_context_total,
-               sig.lm_head, sig.task_head_classes)
+    def _decode_seconds(self, num_decodes: int, context_total: int,
+                        lm_head: bool, head_classes: int) -> float:
+        key = (num_decodes, context_total, lm_head, head_classes)
         t = self._decode.get(key)
         if t is None:
             t = self.iter_costs.decode_seconds_stats(
-                sig.num_decodes, sig.decode_context_total,
-                lm_head=sig.lm_head,
-                task_head_classes=sig.task_head_classes,
+                num_decodes, context_total,
+                lm_head=lm_head, task_head_classes=head_classes,
             )
             if len(self._decode) >= self.max_entries:
                 self._decode.clear()
             self._decode[key] = t
-        return t
-
-    def _extra_mean(self, sig: BatchSignature) -> float:
-        key = (sig.mode, sig.merged_adapter,
-               sig.adapter_groups, sig.adapter_ranks)
-        t = self._extra.get(key)
-        if t is None:
-            t = self.mode_exec.mean_extra_seconds(
-                sig.mode,
-                dict(sig.adapter_groups),
-                dict(sig.adapter_ranks),
-                merged_adapter=sig.merged_adapter,
-            )
-            if len(self._extra) >= self.max_entries:
-                self._extra.clear()
-            self._extra[key] = t
         return t
 
 
@@ -197,14 +253,11 @@ class TransferCostCache:
     def __init__(self, max_entries: int = 65536):
         self.max_entries = max_entries
         self._memo: Dict[int, float] = {}
-        self.hits = 0
-        self.misses = 0
 
     def seconds(self, transfer, nbytes: int) -> float:
         """Wire seconds for one ``nbytes`` KV move over ``transfer``."""
         t = self._memo.get(nbytes)
         if t is None:
-            self.misses += 1
             t = transfer.swap_seconds(
                 nbytes,
                 async_overlap=KV_TRANSFER_OVERLAP,
@@ -213,6 +266,4 @@ class TransferCostCache:
             if len(self._memo) >= self.max_entries:
                 self._memo.clear()
             self._memo[nbytes] = t
-        else:
-            self.hits += 1
         return t

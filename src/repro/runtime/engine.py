@@ -13,11 +13,18 @@ The engine advances a simulated clock by cost-model outputs:
 * mode-switch costs (:class:`ModeSwitcher`);
 * adapter swap-in stalls (:class:`AdapterManager`);
 * KV allocation (with prefix reuse) gates admission.
+
+In decode-heavy traffic the policy mostly re-selects the batch the last
+iteration left running.  The engine holds that batch as a
+:class:`DecodeCarry`, and an iteration that repeats it runs as a steady
+step: its cost comes from the carry, each member's progress is deferred,
+and only the members that cross a KV block boundary get per-member work.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,9 +34,15 @@ from repro.hardware.gpu import GPUSpec
 from repro.kernels.base import LoRAOperator
 from repro.models.config import ModelConfig
 from repro.models.costs import IterationCostModel
+from repro.models.lora import NUM_PROJECTIONS
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.clock import SimClock
-from repro.runtime.costcache import BatchSignature, IterationCostCache
+from repro.runtime.costcache import (
+    BatchSignature,
+    CostRow,
+    IterationCostCache,
+    row_key,
+)
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
 from repro.runtime.hedging import RetryBudget, capped_exponential_backoff
@@ -61,8 +74,6 @@ from repro.runtime.switcher import ModeSwitcher
 #: retry waits the base, each further consecutive failure doubles it.
 SWAP_RETRY_BASE_S = 0.02
 SWAP_RETRY_CAP_S = 1.0
-#: LoRA-targeted projection matrices per layer.
-NUM_PROJECTIONS = 2
 #: Cached prefixes unused this long are evicted when KV runs short.
 PREFIX_TTL_S = 30.0
 #: Consecutive KV-starved iterations tolerated before shedding the
@@ -123,14 +134,15 @@ class PhaseExecutor:
     transition (:meth:`advance`).
 
     The engine's hot path does not call these hooks: it fuses their
-    per-request work into one :class:`BatchScan` per iteration (the
-    signature fields, the token groups and, in
+    per-request work into one :class:`BatchScan` per full iteration
+    (the signature fields, the token groups and, in
     :meth:`ServingEngine._finalize`, :meth:`advance` with one batch KV
-    append) and prices the batch through :class:`IterationCostCache`.
-    The hooks are the reference that tests check the scan and the cost
-    table against, iteration by iteration.  Disaggregated serving does
-    not use them either; it splits the phases with pool roles
-    (:func:`repro.runtime.disagg.apply_pool_role`).
+    append) and prices the batch through :class:`IterationCostCache`;
+    a steady decode step reads the same from its :class:`DecodeCarry`.
+    The hooks are the reference that tests check the scan, the carry
+    and the cost table against, iteration by iteration.  Disaggregated
+    serving does not use them either; it splits the phases with pool
+    roles (:func:`repro.runtime.disagg.apply_pool_role`).
     """
 
     phase = "?"
@@ -301,6 +313,49 @@ class BatchScan:
     adapter_tokens: Dict[str, int]
 
 
+@dataclass(slots=True)
+class DecodeCarry:
+    """A full iteration's surviving batch, held for steady decode steps.
+
+    Built in one pass over the members that neither finished nor left
+    in that iteration (:meth:`ServingEngine._build_carry`).  While the
+    policy keeps choosing exactly these members, in this order, mode
+    and merged adapter, each iteration is a *steady step*
+    (:meth:`ServingEngine._steady_step`): every member decodes one
+    token, so everything the full iteration reads off the batch follows
+    from the fields below and the step count.  A steady step does
+    per-member work only for the members that cross a KV block
+    boundary.  Each member's own progress (``generated`` and its KV
+    token count) is deferred, and :meth:`ServingEngine._write_out`
+    writes it in one pass before anything reads it.
+    """
+
+    #: The members, in batch order, by identity.
+    batch: List[Request]
+    #: Their request (and KV sequence) ids, in batch order.
+    seq_ids: List[int]
+    mode: InferenceMode
+    merged: Optional[str]
+    #: The members' context total when the carry was built.
+    context_total: int
+    #: ``context % block_size`` at build -> the ids in that bucket, in
+    #: batch order.  Steady step ``k`` (from 1) finds the members on a
+    #: block boundary in bucket ``(1 - k) % block_size``.
+    crossings: Dict[int, List[int]]
+    #: Fewest decode rounds any member has left at build: step ``k``
+    #: finishes a member unless ``k < min_remaining``.
+    min_remaining: int
+    #: The adapters a step needs resident (``_batch_adapters`` order).
+    needed: List[str]
+    #: The members' adapters, sorted (the tracer's ``adapters`` field).
+    adapters: Tuple[str, ...]
+    #: The cost row of the steady signature (all but the context total).
+    row: CostRow
+    #: Steady steps taken, and how many of them have been written out.
+    steps: int = 0
+    written: int = 0
+
+
 class ServingEngine:
     """One GPU's serving loop over a simulated clock."""
 
@@ -430,6 +485,8 @@ class ServingEngine:
         )
         #: The current iteration's batch scan (``_scan_batch``'s memo).
         self._scan: Optional[BatchScan] = None
+        #: The running batch held across iterations (steady decode).
+        self._carry: Optional[DecodeCarry] = None
         # -- disaggregated serving hooks (runtime/disagg.py) ---------------
         #: Prefill-pool engines park finished prefills here instead of
         #: decoding them; the cluster's KV-transfer pass drains it,
@@ -542,6 +599,7 @@ class ServingEngine:
                 f"engine exceeded {max_iterations} iterations "
                 f"(sim time {self.clock.now:.1f}s)"
             )
+        self._write_out()
         return self.metrics
 
     def step(self) -> None:
@@ -595,6 +653,13 @@ class ServingEngine:
                 and decision.mode is not InferenceMode.MERGED):
             decision = self._force_merged_decision(schedulable, ctx)
             self.metrics.brownout_forced_merges += 1
+        if self._carry is not None:
+            if self._steady_step(self._carry, decision):
+                return
+            # The full path reads and changes members' state: write the
+            # deferred progress first, and build a fresh carry after.
+            self._write_out()
+            self._carry = None
 
         mode, merged = decision.mode, decision.merged_adapter
         switch_s = self._apply_mode(mode, merged)
@@ -603,9 +668,12 @@ class ServingEngine:
         if not batch:
             # KV exhausted: let running requests drain by retrying the
             # already-admitted subset next iteration after evicting
-            # stale prefixes.
+            # stale prefixes.  A transferred-in hand-off is prefilled
+            # but holds no local KV until it is admitted.
             self.kv.evict_stale_prefixes(self.clock.now - PREFIX_TTL_S)
-            batch = [r for r in decision.batch if r.prefilled]
+            has_sequence = self.kv.has_sequence
+            batch = [r for r in decision.batch
+                     if r.prefilled and has_sequence(r.request_id)]
             if not batch:
                 # Nothing admitted and nothing running: degrade instead
                 # of crashing — flush caches, stall briefly for transient
@@ -633,11 +701,7 @@ class ServingEngine:
             self.metrics.swap_in_seconds += stall
         if stall:
             self.clock.advance(stall)
-        for adapter_id in needed:
-            if adapter_id not in failed_swaps:
-                self._swap_backoff_until.pop(adapter_id, None)
-                if self._breakers:
-                    self._record_swap_success(adapter_id)
+        self._record_swap_successes(needed, failed_swaps)
         if failed_swaps:
             batch, mode, merged = self._handle_swap_failures(
                 batch, failed_swaps, mode, merged
@@ -647,7 +711,37 @@ class ServingEngine:
 
         preempt_before = self.metrics.num_preemptions
         start = self.clock.now
-        iteration_s = self._execute(batch, mode, merged)
+        iteration_s = self._advance_iteration(
+            self._execute(batch, mode, merged), start)
+        survivors = self._finalize(batch)
+        self.metrics.iterations += 1
+        self.metrics.count_mode(mode.value)
+        if self.tracer is not None:
+            now = self.clock.now
+            reused = self._reused_tokens
+            self._trace(
+                mode, merged, start, iteration_s, len(batch),
+                prefill_tokens=sum(
+                    max(r.context_len - reused.get(r.request_id, 0), 1)
+                    for r in batch if r.generated == 1 and r.prefilled
+                    and r.first_token_time == now
+                ),
+                # Requests past their first round decoded one token.
+                decode_tokens=sum(1 for r in batch if r.generated > 1),
+                adapters=tuple(sorted({r.adapter_id for r in batch})),
+                switch_s=switch_s, swap_stall=stall,
+                preemptions=self.metrics.num_preemptions - preempt_before,
+            )
+        if survivors:
+            self._carry = self._build_carry(survivors, mode, merged)
+
+    def _advance_iteration(self, iteration_s: float, start: float) -> float:
+        """Run one priced iteration on the clock; returns its latency.
+
+        Applies an injected straggler slowdown, then advances the clock
+        and the latency estimates (the scheduler's next estimate and
+        the cluster's straggler EWMA).
+        """
         if self.faults is not None:
             iteration_s *= max(
                 1.0, self.faults.engine_slowdown(self.engine_id, start)
@@ -658,12 +752,154 @@ class ServingEngine:
             self.iter_time_ewma = iteration_s
         else:
             self.iter_time_ewma += 0.2 * (iteration_s - self.iter_time_ewma)
-        self._finalize(batch)
+        return iteration_s
+
+    # -- steady decode ------------------------------------------------------------------
+
+    def _build_carry(self, survivors: List[Request], mode: InferenceMode,
+                     merged: Optional[str]) -> Optional[DecodeCarry]:
+        """Hold ``survivors`` for steady steps, in one pass over them.
+
+        ``None`` when no steady step could follow: a member finishes on
+        the next step, or brownout's decode cap (which reads every
+        member's ``generated``) is armed.  Every member is prefilled and
+        holds exactly ``context_len`` KV tokens.
+        """
+        if self._brownout is not None:
+            return None
+        block = self.kv.block_size
+        seq_ids: List[int] = []
+        crossings: Dict[int, List[int]] = {}
+        groups: Dict[str, int] = {}
+        context_total = 0
+        min_remaining = survivors[0].output_tokens
+        lm = False
+        head_classes = 0
+        for r in survivors:
+            rid = r.request_id
+            generated = r.generated
+            remaining = r.output_tokens - generated
+            if remaining < 2:
+                return None
+            if remaining < min_remaining:
+                min_remaining = remaining
+            context = r.input_tokens + generated
+            context_total += context
+            seq_ids.append(rid)
+            bucket = crossings.get(context % block)
+            if bucket is None:
+                crossings[context % block] = [rid]
+            else:
+                bucket.append(rid)
+            adapter = r.adapter_id
+            groups[adapter] = groups.get(adapter, 0) + 1
+            if r.use_task_head:
+                classes = self._task_classes_of(adapter)
+                if classes > head_classes:
+                    head_classes = classes
+            else:
+                lm = True
+        ranks = tuple((a, self._rank_of(a)) for a in groups)
+        needed = list(groups)
+        if merged is not None and merged not in groups:
+            ranks += ((merged, self._rank_of(merged)),)
+            needed.append(merged)
+        row = self.cost_cache.row(row_key(BatchSignature(
+            mode=mode,
+            merged_adapter=merged,
+            prefill_launches=(),
+            num_decodes=len(survivors),
+            decode_context_total=context_total,
+            lm_head=lm,
+            task_head_classes=head_classes,
+            adapter_groups=tuple(groups.items()),
+            adapter_ranks=ranks,
+        )))
+        return DecodeCarry(
+            batch=survivors, seq_ids=seq_ids, mode=mode, merged=merged,
+            context_total=context_total, crossings=crossings,
+            min_remaining=min_remaining, needed=needed,
+            adapters=tuple(sorted(groups)), row=row,
+        )
+
+    def _steady_step(self, carry: DecodeCarry,
+                     decision: SchedulerDecision) -> bool:
+        """Run ``decision`` as a steady step if it repeats the carry.
+
+        A steady step is the full iteration that the same decision
+        would run, bit for bit, in O(adapters + block crossings): the
+        same adapter bookkeeping, the same cost (a cell of the carry's
+        row), the same jitter draw, clock and metrics, and the same KV
+        blocks, taken in batch order by the members on a block
+        boundary.  Returns False, having changed nothing, when the full
+        path must run instead: the decision differs from the carry, a
+        member would finish, the boundary members' blocks do not fit
+        (the full path preempts), or an adapter is not resident.
+        """
+        members = carry.batch
+        batch = decision.batch
+        steps = carry.steps
+        if (decision.mode is not carry.mode
+                or decision.merged_adapter != carry.merged
+                or len(batch) != len(members)
+                or steps + 1 >= carry.min_remaining
+                or not all(map(operator.is_, batch, members))):
+            return False
+        kv = self.kv
+        crossing = carry.crossings.get(-steps % kv.block_size, ())
+        if len(crossing) > kv.free_blocks:
+            return False
+        needed = carry.needed
+        is_resident = self.adapters.is_resident
+        for adapter_id in needed:
+            if not is_resident(adapter_id):
+                return False
+        start = self.clock.now
+        # Every adapter is resident: no stall, no failed swap.
+        self.adapters.try_ensure_resident(needed, start, injector=self.faults)
+        self.metrics.adapter_cache_hits += len(needed)
+        self._record_swap_successes(needed, ())
+        base, extra_mean = self._steady_cost(
+            carry, carry.context_total + steps * len(members))
+        extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)
+        self.metrics.lora_extra_time_total += extra
+        iteration_s = self._advance_iteration(base + extra, start)
+        if crossing:
+            kv.grow(crossing, steps - carry.written)
+        carry.steps = steps + 1
         self.metrics.iterations += 1
-        self.metrics.count_mode(mode.value)
+        self.metrics.count_mode(carry.mode.value)
         if self.tracer is not None:
-            self._trace(mode, merged, batch, start, iteration_s, switch_s,
-                        stall, preempt_before)
+            self._trace(carry.mode, carry.merged, start, iteration_s,
+                        len(members), prefill_tokens=0,
+                        decode_tokens=len(members), adapters=carry.adapters)
+        return True
+
+    def _steady_cost(self, carry: DecodeCarry,
+                     context_total: int) -> Tuple[float, float]:
+        """``(base, extra mean)`` of a steady step: one cell of the
+        carry's cost row, counted as a hit or miss like a lookup."""
+        return self.cost_cache.cell(carry.row, context_total)
+
+    def _write_out(self) -> None:
+        """Write the carry's deferred progress onto its members.
+
+        Each steady step since the last write-out added one token to
+        every member: ``generated`` and the KV token count catch up in
+        one pass.  Called before anything reads them — on entry to the
+        full path, in :meth:`_abort`, in :meth:`drain_orphans` and when
+        :meth:`run` returns.
+        """
+        carry = self._carry
+        if carry is None:
+            return
+        lag = carry.steps - carry.written
+        if not lag:
+            return
+        for r in carry.batch:
+            r.generated += lag
+        self.kv.advance(carry.seq_ids, lag)
+        carry.written = carry.steps
 
     # -- internals ----------------------------------------------------------------------
 
@@ -716,10 +952,19 @@ class ServingEngine:
             self.metrics.breaker_half_opens += 1
         return allowed
 
-    def _record_swap_success(self, adapter_id: str) -> None:
-        breaker = self._breakers.get(adapter_id)
-        if breaker is not None and breaker.record_success(self.clock.now):
-            self.metrics.breaker_closes += 1
+    def _record_swap_successes(self, needed: Sequence[str],
+                               failed: Sequence[str]) -> None:
+        """Every needed adapter that did not fail is resident: clear its
+        swap backoff and count a success on its breaker."""
+        if not self._swap_backoff_until and not self._breakers:
+            return
+        for adapter_id in needed:
+            if adapter_id in failed:
+                continue
+            self._swap_backoff_until.pop(adapter_id, None)
+            breaker = self._breakers.get(adapter_id)
+            if breaker is not None and breaker.record_success(self.clock.now):
+                self.metrics.breaker_closes += 1
 
     def _reject_at_door(self, req: Request, now: float) -> bool:
         """Apply admission control to one arrival; True when rejected.
@@ -784,6 +1029,7 @@ class ServingEngine:
 
     def _abort(self, req: Request, reason: AbortReason) -> None:
         """Abort one active request, releasing any KV it holds."""
+        self._write_out()
         if self.kv.has_sequence(req.request_id):
             self.kv.free(req.request_id)
         self._reused_tokens.pop(req.request_id, None)
@@ -1034,6 +1280,8 @@ class ServingEngine:
         voluntary drain-timeout path passes ``count_hop=False`` — the
         host did not fail, so re-homing charges ``drain_hops`` instead.
         """
+        self._write_out()
+        self._carry = None
         now = self.clock.now
         orphans: List[Request] = []
         for r in self._active.values():
@@ -1106,30 +1354,24 @@ class ServingEngine:
         self.current_merged = merged
         return cost
 
-    def _trace(self, mode, merged, batch, start, iteration_s, switch_s,
-               swap_stall, preempt_before) -> None:
+    def _trace(self, mode, merged, start, iteration_s, batch_size, *,
+               prefill_tokens, decode_tokens, adapters, switch_s=0.0,
+               swap_stall=0.0, preemptions=0) -> None:
         from repro.runtime.tracing import IterationEvent
 
-        prefill_tokens = sum(
-            max(r.context_len - self._reused_tokens.get(r.request_id, 0), 1)
-            for r in batch if r.generated == 1 and r.prefilled
-            and r.first_token_time == self.clock.now
-        )
-        # Requests past their first round contributed one decode token.
-        decode_tokens = sum(1 for r in batch if r.generated > 1)
         self.tracer.record(IterationEvent(
             index=self.metrics.iterations - 1,
             start=start,
             duration=iteration_s,
             mode=mode.value,
             merged_adapter=merged,
-            batch_size=len(batch),
+            batch_size=batch_size,
             prefill_tokens=prefill_tokens,
             decode_tokens=decode_tokens,
-            adapters=tuple(sorted({r.adapter_id for r in batch})),
+            adapters=adapters,
             switch_seconds=switch_s,
             swap_stall_seconds=swap_stall,
-            preemptions=self.metrics.num_preemptions - preempt_before,
+            preemptions=preemptions,
         ))
 
     def _admit_to_kv(self, batch: Sequence[Request]) -> List[Request]:
@@ -1215,12 +1457,19 @@ class ServingEngine:
             return batch[:0]
 
     def _pick_preemption_victim(self, batch: Sequence[Request]):
-        """Youngest prefilled request (in-batch last, else any active)."""
+        """Youngest prefilled request (in-batch last, else any active).
+
+        Only a request holding local KV can give blocks back: a
+        transferred-in hand-off waiting on a decode replica is prefilled
+        but holds none until it is batched.
+        """
         prefilled_batch = [r for r in batch if r.prefilled]
         batch_ids = {r.request_id for r in batch}
+        has_sequence = self.kv.has_sequence
         outside = [
             r for r in self._active.values()
             if r.prefilled and r.request_id not in batch_ids
+            and has_sequence(r.request_id)
         ]
         pool = outside or prefilled_batch
         if len(pool) <= 1 and pool == prefilled_batch:
@@ -1275,13 +1524,16 @@ class ServingEngine:
         return classes
 
     def _scan_batch(self, batch: List[Request]) -> BatchScan:
-        """One pass over ``batch``: everything this iteration reads of it.
+        """One pass over ``batch``: everything a full iteration reads of it.
 
         Memoized on the list's identity: the scan made for the capacity
-        check serves the cost lookup and the KV append of the same
-        iteration.  Every step that changes the batch builds a new list
-        and nothing changes a member's state before :meth:`_finalize`,
-        so a memo hit is always current.
+        check (:meth:`_ensure_decode_capacity`) serves the cost lookup
+        (:meth:`_execute`) and the KV append (:meth:`_finalize`) of the
+        same iteration.  Every step that changes the batch builds a new
+        list and nothing changes a member's state before
+        :meth:`_finalize`, so a memo hit is always current.  Steady
+        decode steps take no scan: what they read comes from the
+        :class:`DecodeCarry`, built once from the survivors.
         """
         scan = self._scan
         if scan is not None and scan.batch is batch:
@@ -1350,7 +1602,7 @@ class ServingEngine:
 
     def _execute(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> float:
-        """Cost one iteration over ``batch`` and return its latency.
+        """Cost one full iteration over ``batch``; returns its latency.
 
         Builds the :class:`BatchSignature` of this batch and looks up
         ``(base cost, extra-cost mean)``; only the jitter sample on the
@@ -1386,7 +1638,13 @@ class ServingEngine:
         self.metrics.lora_extra_time_total += extra
         return base + extra
 
-    def _finalize(self, batch: Sequence[Request]) -> None:
+    def _finalize(self, batch: Sequence[Request]) -> List[Request]:
+        """Advance every member by one token; returns the survivors.
+
+        Finished members complete (or go to the fencing outbox) and
+        prefill-pool hand-offs leave for the cluster; the rest, in
+        batch order, are the survivors the next carry is built from.
+        """
         now = self.clock.now
         # Brownout level >= 2 caps decode lengths: a capped request
         # completes early with a truncated answer (degraded service)
@@ -1399,6 +1657,7 @@ class ServingEngine:
         self._scan = None
         finished: List[Request] = []
         handoffs: List[Request] = []
+        survivors: List[Request] = []
         for r in batch:
             prefilling = not r.prefilled
             if prefilling:
@@ -1415,6 +1674,8 @@ class ServingEngine:
                 finished.append(r)
             elif self.handoff_after_prefill and prefilling:
                 handoffs.append(r)
+            else:
+                survivors.append(r)
         for r in finished:
             self.kv.free(r.request_id)
             self._reused_tokens.pop(r.request_id, None)
@@ -1435,3 +1696,4 @@ class ServingEngine:
             self._reused_tokens.pop(r.request_id, None)
             self._drop_active(r)
             self.handoff_outbox.append(r)
+        return survivors

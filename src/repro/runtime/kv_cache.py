@@ -9,9 +9,14 @@ Block state is one ``refcount`` int list indexed by block id plus a LIFO
 free list: a run of blocks is taken with one list slice (handing ids
 out in the same order as repeated ``pop()``), and a release walks its
 block list once.  :meth:`PagedKVCache.append_tokens` extends a whole
-batch by one token each (the engine calls it once per iteration);
+batch by one token each (the engine calls it once per full iteration);
 :meth:`PagedKVCache.append_token` is its one-element form, so a single
-growth rule covers both.
+growth rule covers both.  The engine's steady decode steps split an
+append in two: :meth:`PagedKVCache.grow` takes the blocks right away
+(only the sequences on a block boundary need one) and
+:meth:`PagedKVCache.advance` writes the token counts later, several
+steps at once.  A lagging count never breaks the invariants below,
+because the blocks are always taken first.
 
 Invariants (property-tested in ``tests/runtime/test_kv_cache.py``):
 
@@ -194,6 +199,45 @@ class PagedKVCache:
             if seq.num_tokens >= len(seq.blocks) * size:
                 seq.blocks += self._take_blocks(1)
             seq.num_tokens += 1
+
+    def grow(self, seq_ids: Iterable[int], lag: int = 0) -> None:
+        """Take the block each sequence's next token needs, in order.
+
+        The growth rule of :meth:`append_tokens` without the count:
+        ``lag`` is how many tokens each sequence already holds beyond
+        its recorded count (grown for, not yet recorded by
+        :meth:`advance`), so a sequence takes one fresh block exactly
+        when its true count fills its blocks.  Errors as in
+        :meth:`append_tokens`.
+        """
+        sequences = self._sequences
+        size = self.block_size
+        for seq_id in seq_ids:
+            seq = sequences.get(seq_id)
+            if seq is None:
+                raise BlockAllocationError(f"unknown sequence {seq_id}")
+            if seq.num_tokens + lag >= len(seq.blocks) * size:
+                seq.blocks += self._take_blocks(1)
+
+    def advance(self, seq_ids: Iterable[int], num_tokens: int) -> None:
+        """Record ``num_tokens`` more tokens on each sequence.
+
+        The blocks must already hold them (:meth:`grow`); a count that
+        would overflow its blocks raises :class:`BlockAllocationError`,
+        leaving the ids before it advanced.
+        """
+        sequences = self._sequences
+        size = self.block_size
+        for seq_id in seq_ids:
+            seq = sequences.get(seq_id)
+            if seq is None:
+                raise BlockAllocationError(f"unknown sequence {seq_id}")
+            count = seq.num_tokens + num_tokens
+            if count > len(seq.blocks) * size:
+                raise BlockAllocationError(
+                    f"sequence {seq_id} has no room for {num_tokens} tokens"
+                )
+            seq.num_tokens = count
 
     def free(self, seq_id: int) -> None:
         """Release a sequence; shared prefix blocks survive while cached."""

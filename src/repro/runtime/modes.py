@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.kernels.base import LoRAOperator
 from repro.models.config import ModelConfig
+from repro.models.lora import NUM_PROJECTIONS
 
 
 class InferenceMode(enum.Enum):
@@ -72,7 +73,7 @@ class ModeExecutor:
         self,
         model: ModelConfig,
         operator: LoRAOperator,
-        num_projections: int = 2,
+        num_projections: int = NUM_PROJECTIONS,
     ):
         if num_projections <= 0:
             raise ValueError("num_projections must be positive")

@@ -25,14 +25,15 @@ from repro.kernels.cost_model import GemmCostModel
 from repro.kernels.shapes import GemmShape
 from repro.kernels.tiling import TilingConfig
 from repro.models.config import ModelConfig
-from repro.models.lora import LoRAAdapterSpec
+from repro.models.lora import NUM_PROJECTIONS, LoRAAdapterSpec
 from repro.runtime.modes import InferenceMode
 
 
 class ModeSwitcher(abc.ABC):
     """Costs the transition between inference modes / merged adapters."""
 
-    def __init__(self, model: ModelConfig, num_projections: int = 2):
+    def __init__(self, model: ModelConfig,
+                 num_projections: int = NUM_PROJECTIONS):
         self.model = model
         self.num_projections = num_projections
 
@@ -81,7 +82,7 @@ class SwiftSwitcher(ModeSwitcher):
     SOFTWARE_OVERHEAD_S = 0.3e-3
 
     def __init__(self, model: ModelConfig, atmm: ATMMOperator,
-                 num_projections: int = 2):
+                 num_projections: int = NUM_PROJECTIONS):
         super().__init__(model, num_projections)
         self.atmm = atmm
 
@@ -109,7 +110,7 @@ class DLoRASwitcher(ModeSwitcher):
                                double_buffered=False)
 
     def __init__(self, model: ModelConfig, cost_model: GemmCostModel,
-                 num_projections: int = 2):
+                 num_projections: int = NUM_PROJECTIONS):
         super().__init__(model, num_projections)
         self.cost_model = cost_model
 

@@ -478,6 +478,35 @@ def test_disagg_cluster_exactly_once(menu, requests):
         assert rep.engine.num_live == 0 or rep.engine.failed
 
 
+def test_disagg_decode_pool_short_of_kv_exactly_once():
+    """A decode replica short of KV preempts, and falls back to its
+    running subset, only among requests that hold local KV: a
+    transferred-in hand-off is prefilled but holds none until it is
+    admitted.  Both paths once freed or appended to a sequence the
+    replica never allocated."""
+    from repro.hardware.gpu import A100_80GB
+    from repro.runtime import DisaggConfig
+    from repro.workloads import RetrievalWorkload
+
+    small = dataclasses.replace(A100_80GB, name="A100-21GB",
+                                hbm_capacity_gb=21.0)
+    builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=2,
+                            max_batch_size=16, gpu=small)
+    reset_request_ids()
+    requests = RetrievalWorkload(builder.adapter_ids, rate_rps=8.0,
+                                 duration_s=4.0, seed=0).generate()
+    server = MultiGPUServer.replicate(
+        lambda: builder.build("v-lora"), 2,
+        disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1),
+    )
+    server.submit(requests)
+    metrics = server.run()
+    assert_exactly_once_terminal(requests, metrics)
+    assert metrics.num_preemptions > 0
+    for rep in server.replicas:
+        rep.engine.kv.check_invariants()
+
+
 def test_disagg_prefill_death_mid_transfer_exactly_once():
     """The prefill replica dies with hand-offs still in its outbox: its
     KV died with it, so the outbox rewinds through failover — and with

@@ -19,7 +19,11 @@ from repro.core.builder import SystemBuilder
 from repro.models.config import QWEN_VL_7B
 from repro.models.costs import IterationCostModel
 from repro.hardware.gpu import A100_80GB
-from repro.runtime.costcache import BatchSignature, IterationCostCache
+from repro.runtime.costcache import (
+    BatchSignature,
+    IterationCostCache,
+    row_key,
+)
 from repro.runtime.engine import ServingEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
@@ -88,6 +92,23 @@ class TestIterationCostCache:
         values = [cache.lookup(s) for s in sigs]
         assert [cache.lookup(s) for s in sigs] == values
 
+    def test_rows_and_cells_count_like_one_flat_table(self):
+        """Cells of one row count as distinct signatures, a clear comes
+        when the cell count reaches ``max_entries``, and a row held
+        across the clear is served from the live table."""
+        cache = self._cache(max_entries=2)
+        row = cache.row(row_key(_signature()))
+        first = cache.cell(row, 300)
+        assert cache.lookup(_signature(decode_context_total=300)) == first
+        cache.lookup(_signature(decode_context_total=301))
+        cache.lookup(_signature(decode_context_total=302))  # clears
+        assert cache.generation == 1
+        assert cache.cell(row, 300) == first  # a miss after the clear
+        assert cache.cell(row, 302) == cache.lookup(
+            _signature(decode_context_total=302))
+        assert cache.metrics.cost_cache_hits == 3
+        assert cache.metrics.cost_cache_misses == 4
+
     def test_max_entries_validated(self):
         with pytest.raises(ValueError, match="max_entries"):
             self._cache(max_entries=0)
@@ -108,9 +129,16 @@ class TestDecodeStats:
 
 
 class UncachedEngine(ServingEngine):
-    """The engine with its cost step swapped for the uncached reference."""
+    """The engine with its cost step swapped for the uncached reference.
+
+    It holds no carry: a steady decode step would price its batch from
+    a cost-table row, never calling ``_execute``.
+    """
 
     _execute = MonolithicEngine._execute_uncached
+
+    def _build_carry(self, survivors, mode, merged):
+        return None
 
 
 def _run_once(system: str, seed: int, engine_cls, with_faults: bool):

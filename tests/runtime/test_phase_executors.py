@@ -301,7 +301,10 @@ def test_executors_compose_the_engine():
 class ScanCheckedEngine(ServingEngine):
     """Checks every iteration's fused :class:`BatchScan` against the
     phase executors' per-request hooks it replaces, and the cost
-    table's answer against the cost tower it memoizes."""
+    table's answer against the cost tower it memoizes.  A steady decode
+    step has no scan: its carried context total, boundary members and
+    cost cell are checked against the same hooks instead, on members
+    whose deferred progress is written out first."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -314,7 +317,9 @@ class ScanCheckedEngine(ServingEngine):
 
         self.cost_cache.lookup = recorded
 
-    def _execute(self, batch, mode, merged):
+    def _tower(self, batch, mode, merged):
+        """The executors' signature fields, token groups, and
+        ``(base, extra mean)`` of ``batch``."""
         fields: Dict[str, object] = {}
         tokens: Dict[str, int] = {}
         base = 0.0
@@ -324,6 +329,17 @@ class ScanCheckedEngine(ServingEngine):
             fields.update(executor.signature_fields(requests, plan))
             base += executor.cost_seconds(requests, plan)
             executor.accumulate_tokens(requests, plan, tokens)
+        extra_mean = 0.0
+        if tokens:
+            ranks = {a: self.adapters.spec(a).rank for a in tokens}
+            if merged is not None:
+                ranks.setdefault(merged, self.adapters.spec(merged).rank)
+            extra_mean = self.mode_exec.mean_extra_seconds(
+                mode, tokens, ranks, merged_adapter=merged)
+        return fields, tokens, (base, extra_mean)
+
+    def _execute(self, batch, mode, merged):
+        fields, tokens, cost = self._tower(batch, mode, merged)
         scan = self._scan_batch(batch)
         assert fields == {
             "prefill_launches": scan.prefill_launches,
@@ -340,18 +356,28 @@ class ScanCheckedEngine(ServingEngine):
 
         self.looked_up = None
         latency = super()._execute(batch, mode, merged)
-        extra_mean = 0.0
-        if tokens:
-            ranks = {a: self.adapters.spec(a).rank for a in tokens}
-            if merged is not None:
-                ranks.setdefault(merged, self.adapters.spec(merged).rank)
-            extra_mean = self.mode_exec.mean_extra_seconds(
-                mode, tokens, ranks, merged_adapter=merged)
         # Bit-equal, whether the table hit or fell through to its
         # component memos.
-        assert self.looked_up == (base, extra_mean)
+        assert self.looked_up == cost
         self.scans_checked += 1
         return latency
+
+    def _steady_cost(self, carry, context_total):
+        self._write_out()
+        batch = carry.batch
+        fields, _, cost = self._tower(batch, carry.mode, carry.merged)
+        assert fields["prefill_launches"] == ()
+        assert fields["num_decodes"] == len(batch)
+        assert fields["decode_context_total"] == context_total
+        block = self.kv.block_size
+        assert carry.crossings.get(-carry.steps % block, []) == [
+            r.request_id for r in batch if r.context_len % block == 0]
+        for r in batch:
+            assert self.kv.sequence_tokens(r.request_id) == r.context_len
+        pair = super()._steady_cost(carry, context_total)
+        assert pair == cost
+        self.scans_checked += 1
+        return pair
 
 
 @pytest.mark.parametrize("system", ["v-lora", "punica", "dlora"])
